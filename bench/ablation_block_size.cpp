@@ -30,7 +30,7 @@ void sweep_local_blas(index_t n) {
                            std::to_string(n) + ", 1 thread)");
   table.set_header({"mc", "kc", "gflops", "is_default"});
   const xblas::Tuning saved = xblas::tuning();
-  xblas::tuning().threads = 1;
+  const xblas::ScopedThreadCap one_thread(1);
   const conflux::MatrixD a = conflux::random_matrix(n, n, 1);
   const conflux::MatrixD b = conflux::random_matrix(n, n, 2);
   conflux::MatrixD c(n, n, 0.0);

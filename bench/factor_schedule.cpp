@@ -16,11 +16,9 @@
 //     for the model times (identical charges, no matrix data).
 //
 // Usage:
-//   factor_schedule [--out=BENCH_factor.json] [--large] [--serial-baseline]
+//   factor_schedule [--out=BENCH_factor.json] [--large]
 //                   [--trace=conflux_lu_trace.json] [--reps=1]
 //   --large            adds the n=2048, P=64 acceptance cell
-//   --serial-baseline  re-times Real mode with 1 OpenMP thread and reports
-//                      the rank-parallel speedup per cell
 //   --trace=FILE       writes a Chrome trace (about:tracing) of the last
 //                      LU cell's bounded-overlap timeline
 #include <algorithm>
@@ -52,10 +50,6 @@
 #include "support/stopwatch.hpp"
 #include "tensor/random_matrix.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 using namespace conflux;
 
 namespace {
@@ -70,7 +64,6 @@ struct Row {
   std::string algo;
   Cell cell;
   double real_wall_s = 0.0;
-  double serial_wall_s = 0.0;  // 0 when --serial-baseline is off
   double real_gflops = 0.0;    // factorization flops / real_wall_s
   double workspace_peak_words = 0.0;  // Real-mode resident data-path words
   double t_bsp = 0.0;
@@ -142,14 +135,6 @@ xsim::MachineSpec spec_for(const Cell& c) {
   return spec;
 }
 
-int max_threads() {
-#ifdef _OPENMP
-  return omp_get_max_threads();
-#else
-  return 1;
-#endif
-}
-
 double best_wall(int reps, const auto& run) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
@@ -160,7 +145,7 @@ double best_wall(int reps, const auto& run) {
   return best;
 }
 
-Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_baseline,
+Row run_cell(const std::string& algo, const Cell& c, int reps,
              sched::EventLog* trace_log, xsim::MachineSpec* trace_spec) {
   const grid::Grid3D g(c.px, c.py, c.pz);
   const xsim::MachineSpec spec = spec_for(c);
@@ -169,7 +154,7 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
   const bool lu = algo == "conflux_lu";
 
   Row row{algo, c};
-  row.threads = max_threads();
+  row.threads = sched::TaskPool::instance().width();
 
   // Real mode: actual numerics, wall-clocked. The last rep's factors are
   // kept — the direct-solve baseline below reuses them (the factorization
@@ -191,16 +176,6 @@ Row run_cell(const std::string& algo, const Cell& c, int reps, bool serial_basel
   const double nd = static_cast<double>(c.n);
   const double factor_flops = lu ? 2.0 * nd * nd * nd / 3.0 : nd * nd * nd / 3.0;
   row.real_gflops = factor_flops / row.real_wall_s / 1e9;
-#ifdef _OPENMP
-  if (serial_baseline) {
-    const int saved = omp_get_max_threads();
-    omp_set_num_threads(1);
-    row.serial_wall_s = best_wall(reps, real_run);
-    omp_set_num_threads(saved);
-  }
-#else
-  (void)serial_baseline;
-#endif
 
   // Lookahead leg: same schedule, urgent/lazy tasks pipelined on the
   // persistent pool (bitwise-identical factors — packed_factor_test).
@@ -464,10 +439,6 @@ void print_row(const Row& r) {
       r.algo.c_str(), static_cast<long long>(r.cell.n), r.cell.px, r.cell.py,
       r.cell.pz, static_cast<long long>(r.cell.v), r.real_wall_s, r.real_gflops,
       r.workspace_peak_words / 1e6);
-  if (r.serial_wall_s > 0.0) {
-    std::printf(" (1-thread %.3fs, %.2fx)", r.serial_wall_s,
-                r.serial_wall_s / r.real_wall_s);
-  }
   std::printf(
       "  model BSP %.4fs >= timeline %.4fs >= lookahead %.4fs >= overlap %.4fs\n",
       r.t_bsp, r.t_timeline, r.t_lookahead, r.t_overlap);
@@ -512,7 +483,6 @@ bool write_json(const std::string& path, const std::vector<Row>& rows) {
     w.field("pz", r.cell.pz);
     w.field("v", static_cast<long long>(r.cell.v));
     w.field("real_wall_s", r.real_wall_s);
-    w.field("serial_wall_s", r.serial_wall_s);
     w.field("real_gflops", r.real_gflops);
     w.field("workspace_peak_words", r.workspace_peak_words);
     w.field("model_bsp_s", r.t_bsp);
@@ -586,7 +556,6 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get_string("out", "BENCH_factor.json");
   const std::string trace_path = cli.get_string("trace", "");
   const bool large = cli.get_flag("large");
-  const bool serial_baseline = cli.get_flag("serial-baseline");
   const int reps = static_cast<int>(cli.get_int("reps", 1));
   cli.check_unused();
 
@@ -598,12 +567,22 @@ int main(int argc, char** argv) {
   };
   if (large) cells.push_back({2048, 4, 4, 4, 64});  // the n=2048, P=64 cell
 
+  // One untimed run first: pool spawn and first touch of the pack buffers
+  // would otherwise land in the first row's wall time.
+  {
+    const Cell& c = cells.front();
+    xsim::Machine m(spec_for(c), xsim::ExecMode::Real);
+    factor::conflux_lu(m, grid::Grid3D(c.px, c.py, c.pz),
+                       random_matrix(c.n, c.n, 1).view(),
+                       factor::FactorOptions{.block_size = c.v});
+  }
+
   std::vector<Row> rows;
   sched::EventLog last_lu_log;
   xsim::MachineSpec last_lu_spec;
   for (const Cell& c : cells) {
     for (const char* algo : {"conflux_lu", "confchox"}) {
-      rows.push_back(run_cell(algo, c, reps, serial_baseline,
+      rows.push_back(run_cell(algo, c, reps,
                               trace_path.empty() ? nullptr : &last_lu_log,
                               &last_lu_spec));
       print_row(rows.back());

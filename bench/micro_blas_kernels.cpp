@@ -12,6 +12,8 @@
 //   micro_blas_kernels [--out=BENCH_blas.json] [--threads=1] [--large]
 //                      [--sweep] [--min-time=0.3]
 //                      [--autotune] [--budget=60] [--require-tuning-source=SRC]
+//   --threads   team width for every kernel (default 1; 0 = the pool's
+//               default: CONFLUX_POOL_THREADS, else the CPUs available)
 //   --large     adds n = 2048 shapes
 //   --sweep     additionally sweeps the (mc, kc, nc) cache-block tuning for
 //               gemm at the largest shape and reports the best combination
@@ -30,7 +32,6 @@
 // dispatch ever picks a slower kernel than the portable baseline.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <utility>
 #include <fstream>
@@ -42,12 +43,9 @@
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/tuning.hpp"
+#include "sched/taskpool.hpp"
 #include "support/buildinfo.hpp"
 #include "support/json.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 #include "support/cli.hpp"
 #include "support/stopwatch.hpp"
 #include "tensor/random_matrix.hpp"
@@ -207,21 +205,11 @@ double find_gflops(const std::vector<Result>& results, const std::string& kernel
 int main(int argc, char** argv) {
   const conflux::Cli cli(argc, argv);
   const std::string out_path = cli.get_string("out", "BENCH_blas.json");
-  // Default to 1 thread so kernel-quality numbers are comparable across
-  // machines, but let XBLAS_THREADS (already folded into tuning()) win when
-  // the flag is not given explicitly. 0 means "library default", which is
-  // resolved to the real OpenMP thread count below so the JSON rows and the
-  // speedup-vs-seed line (the seed kernel is always serial) stay honest.
-  const int env_threads =
-      std::getenv("XBLAS_THREADS") ? xblas::tuning().threads : 1;
-  int threads = static_cast<int>(cli.get_int("threads", env_threads));
-  if (threads == 0) {
-#ifdef _OPENMP
-    threads = omp_get_max_threads();
-#else
-    threads = 1;
-#endif
-  }
+  // Default to width 1 so kernel-quality numbers are comparable across
+  // machines. 0 means the pool's default width; the rows record the width
+  // actually used, so the speedup-vs-seed line (the seed kernel is always
+  // serial) stays honest.
+  const int threads = static_cast<int>(cli.get_int("threads", 1));
   const double min_time = cli.get_double("min-time", 0.3);
   const bool large = cli.get_flag("large");
   const bool sweep = cli.get_flag("sweep");
@@ -245,8 +233,8 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  xblas::tuning().threads = threads;
-  g_threads = threads;
+  const xblas::ScopedThreadCap width(threads);
+  g_threads = conflux::sched::TaskPool::instance().width();
 
   if (autotune) {
     xblas::autotune::Options opts;

@@ -15,6 +15,7 @@
 
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
+#include "sched/taskpool.hpp"
 #include "support/json.hpp"
 #include "support/stopwatch.hpp"
 #include "tensor/random_matrix.hpp"
@@ -541,7 +542,7 @@ Report run(const Options& opts) {
     e.lu_nb = best_lu_nb;
     e.gflops = f64.gflops;
     e.n = n;
-    e.threads = tuning().threads;
+    e.threads = sched::TaskPool::instance().width();
     rep.tuned.push_back(std::move(e));
   }
   if (f32.gflops > 0.0) {
@@ -553,7 +554,7 @@ Report run(const Options& opts) {
     e.nc = f32.nc;
     e.gflops = f32.gflops;
     e.n = n;
-    e.threads = tuning().threads;
+    e.threads = sched::TaskPool::instance().width();
     rep.tuned.push_back(std::move(e));
   }
   return rep;

@@ -1,6 +1,6 @@
 // From-scratch level-3 BLAS substrate used everywhere MKL was used in the
-// paper. gemm is a BLIS-style packed, register-tiled, OpenMP-parallel
-// implementation; trsm/syrk/gemmt are blocked algorithms that confine
+// paper. gemm is a BLIS-style packed, register-tiled implementation whose
+// parallel loops run on the task pool (src/sched/taskpool.hpp); trsm/syrk/gemmt are blocked algorithms that confine
 // O(db^3) work to small diagonal blocks and push all panel updates through
 // gemm. Cache/block sizes are runtime-tunable via xblas::tuning()
 // (src/blas/tuning.hpp; XBLAS_* environment overrides). Multi-threaded

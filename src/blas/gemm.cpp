@@ -31,25 +31,26 @@
 //     the A block and then split the jr stripe loop, so small-m updates
 //     still use the whole machine.
 //
-// OpenMP: threads cooperate on packing B (worksharing over micro-panels)
-// and then either split the ic loop (each thread packing A into its own
-// buffer) or, when the ic loop is too short, split the jr loop against a
-// cooperatively packed shared A block. Every C element is accumulated in
-// the same fixed pc-then-p order regardless of thread count or path, and
-// every C tile is written by exactly one thread, so results are bitwise
-// identical run to run and across thread counts — in both precisions.
+// Threading: the parallel loops are sched::TaskPool::parallel_for calls, at
+// the width of the calling thread (1 inside pool work, so a gemm in a
+// factorization task never forks). Per (jc, pc) block, one parallel_for
+// packs the B micro-panels, then either one splits the ic loop (each thread
+// packing A into its own buffer) or, when the ic loop is too short, two per
+// A block pack a shared A block and then split the jr stripes; the end of
+// each parallel_for is the barrier between phases. Every C element is
+// accumulated in the same fixed pc-then-p order regardless of thread count
+// or path, and every C tile is written by exactly one thread, so results
+// are bitwise identical run to run and across thread counts — in both
+// precisions.
 #include <algorithm>
 #include <vector>
 
 #include "blas/blas.hpp"
 #include "blas/microkernel.hpp"
 #include "blas/tuning.hpp"
+#include "sched/taskpool.hpp"
 #include "support/check.hpp"
 #include "support/metrics.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace conflux::xblas {
 
@@ -133,45 +134,33 @@ void gemm_small(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
   }
 }
 
-// Per-scalar thread-local packing buffers, persisting across gemm calls so
-// medium-size factorization updates do not pay an allocation per call:
-//   apack    per-thread packed A block
-//   bpack    packed B panel (can reach nc*kc scalars) — owned by the
-//            *calling* thread: gemm grabs the reference before entering the
-//            parallel region, so the OpenMP workers all share one buffer
-//            while concurrent gemm calls from different caller threads stay
-//            isolated
-//   ashared  shared packed A block for the jr-parallel path (same
-//            caller-thread ownership scheme as bpack)
-//   bedge    per-thread zero-padded stripe for the strided-B path's edge
-//            stripe (nr < NR), where the strided microkernel would
-//            over-read B
-// Deliberately concrete namespace-scope thread_locals behind a traits
-// accessor, NOT thread_local variable templates: libgomp pool threads never
-// run TLS destructors, and template-instantiated TLS is invisible to
-// LeakSanitizer's root scan, so the variable-template form reports the
-// workers' buffers as leaks under ASan.
-thread_local std::vector<double> tls_apack_d, tls_bpack_d, tls_ashared_d,
-    tls_bedge_d;
-thread_local std::vector<float> tls_apack_f, tls_bpack_f, tls_ashared_f,
-    tls_bedge_f;
+// Per-thread packing buffers, persisting across gemm calls so medium-size
+// factorization updates do not pay an allocation per call:
+//   apack    packed A block of the thread running an ic block
+//   bpack    packed B panel (up to nc*kc scalars), owned by the calling
+//            thread: every thread of one call reads it, while concurrent
+//            calls from different caller threads stay isolated
+//   ashared  shared packed A block of the jr-split path (caller-owned)
+//   bedge    zero-padded edge stripe of the strided-B path (nr < NR), where
+//            the strided microkernel would over-read B (caller-owned)
+template <typename T>
+struct PackBufs {
+  std::vector<T> apack, bpack, ashared, bedge;
+};
 
 template <typename T>
-struct TlsBufs;
-template <>
-struct TlsBufs<double> {
-  static std::vector<double>& apack() { return tls_apack_d; }
-  static std::vector<double>& bpack() { return tls_bpack_d; }
-  static std::vector<double>& ashared() { return tls_ashared_d; }
-  static std::vector<double>& bedge() { return tls_bedge_d; }
-};
-template <>
-struct TlsBufs<float> {
-  static std::vector<float>& apack() { return tls_apack_f; }
-  static std::vector<float>& bpack() { return tls_bpack_f; }
-  static std::vector<float>& ashared() { return tls_ashared_f; }
-  static std::vector<float>& bedge() { return tls_bedge_f; }
-};
+PackBufs<T>& pack_bufs() {
+  thread_local PackBufs<T> bufs;
+  return bufs;
+}
+
+template <typename T>
+T* grown(std::vector<T>& buf, index_t size) {
+  if (static_cast<index_t>(buf.size()) < size) {
+    buf.resize(static_cast<std::size_t>(size));
+  }
+  return buf.data();
+}
 
 }  // namespace
 
@@ -246,143 +235,83 @@ void gemm(Trans transa, Trans transb, std::type_identity_t<T> alpha,
     }
   }
 
-  std::vector<T>& bpack = TlsBufs<T>::bpack();
-  if (!strided_b && static_cast<index_t>(bpack.size()) < nc_blk * kc_blk)
-    bpack.resize(static_cast<std::size_t>(nc_blk * kc_blk));
+  PackBufs<T>& bufs = pack_bufs<T>();
+  T* const bpack = strided_b ? nullptr : grown(bufs.bpack, nc_blk * kc_blk);
+  T* const bedge = strided_b ? grown(bufs.bedge, NR * kc_blk) : nullptr;
   const index_t apack_size = mc_blk * kc_blk;
-
-  int nthreads = 1;
-#ifdef _OPENMP
-  nthreads = (tu.threads > 0) ? tu.threads : omp_get_max_threads();
-  if (nthreads < 1) nthreads = 1;
-  // Per-thread cap (tuning.hpp): task-pool work must not fork nested teams
-  // even under an XBLAS_THREADS override — the pool is the parallelism.
-  const int cap = tls_thread_cap();
-  if (cap > 0 && nthreads > cap) nthreads = cap;
-#endif
 
   // With fewer A row blocks than threads (panel updates: often exactly one
   // block), the ic loop cannot feed the machine; switch to a shared packed
   // A block and split the jr loop instead. Either way every C tile is
   // computed from the same packed/streamed values in the same order, so
   // the choice never changes results.
-  const bool shared_a = nthreads > 1 && ni_blocks < nthreads;
-  std::vector<T>& ashared = TlsBufs<T>::ashared();
-  if (shared_a && static_cast<index_t>(ashared.size()) < apack_size)
-    ashared.resize(static_cast<std::size_t>(apack_size));
+  sched::TaskPool& pool = sched::TaskPool::instance();
+  const int width = pool.width();
+  const bool shared_a = width > 1 && ni_blocks < width;
+  T* const ashared = shared_a ? grown(bufs.ashared, apack_size) : nullptr;
 
-#ifdef _OPENMP
-#pragma omp parallel num_threads(nthreads) if (nthreads > 1)
-#endif
-  {
-    std::vector<T>& apack = TlsBufs<T>::apack();
-    if (!shared_a && static_cast<index_t>(apack.size()) < apack_size)
-      apack.resize(static_cast<std::size_t>(apack_size));
-    std::vector<T>& bedge = TlsBufs<T>::bedge();
-    if (strided_b && static_cast<index_t>(bedge.size()) < NR * kc_blk)
-      bedge.resize(static_cast<std::size_t>(NR * kc_blk));
-    // (jc, pc) for which this thread's bedge holds the packed edge stripe:
-    // at most one stripe per (jc, pc) block has nr < NR, so one key pair
-    // avoids repacking it once per A row block.
-    index_t bedge_jc = -1, bedge_pc = -1;
+  for (index_t jc = 0; jc < n; jc += nc_blk) {
+    const index_t nc = std::min(nc_blk, n - jc);
+    const index_t nb_panels = ceil_div(nc, NR);
+    for (index_t pc = 0; pc < k; pc += kc_blk) {
+      const index_t kc = std::min(kc_blk, k - pc);
 
-    for (index_t jc = 0; jc < n; jc += nc_blk) {
-      const index_t nc = std::min(nc_blk, n - jc);
-      for (index_t pc = 0; pc < k; pc += kc_blk) {
-        const index_t kc = std::min(kc_blk, k - pc);
+      if (!strided_b) {
+        pool.parallel_for(nb_panels, [&](index_t jp) {
+          pack_b_panel<T>(transb, b, pc, jc, jp * NR, nc, kc, NR,
+                          bpack + jp * (NR * kc));
+        });
+      } else if (nc % NR != 0) {
+        // The strided path's edge stripe, zero-padded so the microkernel
+        // can read full NR lanes.
+        pack_b_panel<T>(transb, b, pc, jc, nc - nc % NR, nc, kc, NR, bedge);
+      }
 
+      // One NR-wide stripe of C micro-tiles from a packed A block. b_next
+      // is the next packed B stripe (a software-prefetch hint for the
+      // microkernel; null when streaming B in place or at the last stripe),
+      // a_next likewise walks one A micro-panel ahead inside the stripe.
+      const auto do_stripe = [&](const T* ap, index_t ic, index_t mc,
+                                 index_t jr) {
+        const index_t nr = std::min(NR, nc - jr);
+        T* c0 = c.row(ic) + jc + jr;
+        const T* bp = bedge;
+        index_t bstride = NR;
         if (!strided_b) {
-          const index_t nb_panels = ceil_div(nc, NR);
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-          for (index_t jp = 0; jp < nb_panels; ++jp) {
-            pack_b_panel<T>(transb, b, pc, jc, jp * NR, nc, kc, NR,
-                            bpack.data() + jp * (NR * kc));
-          }
-          // (implicit barrier: the packed B panel is complete here)
+          bp = bpack + (jr / NR) * (NR * kc);
+        } else if (nr == NR) {
+          bp = b.row(pc) + jc + jr;
+          bstride = b.ld();
         }
+        const T* b_next = (!strided_b && jr + NR < nc) ? bp + NR * kc : nullptr;
+        for (index_t ir = 0; ir < mc; ir += MR) {
+          const T* a_cur = ap + (ir / MR) * (MR * kc);
+          const T* a_next = (ir + MR < mc) ? a_cur + MR * kc : nullptr;
+          mk.fn(kc, a_cur, bp, bstride, c0 + ir * c.ld(), c.ld(),
+                std::min(MR, mc - ir), nr, a_next, b_next);
+        }
+      };
 
-        // One NR-wide stripe of C micro-tiles from a packed A block.
-        // b_next is the next packed B stripe this thread will consume (a
-        // software-prefetch hint for the microkernel; null when streaming B
-        // in place or at the last stripe), a_next likewise walks one A
-        // micro-panel ahead inside the stripe.
-        const auto do_stripe = [&](const T* ap, index_t ic, index_t mc,
-                                   index_t jr, const T* b_next) {
-          const index_t nr = std::min(NR, nc - jr);
-          T* c0 = c.row(ic) + jc + jr;
-          const T* bp;
-          index_t bstride;
-          if (strided_b && nr == NR) {
-            bp = b.row(pc) + jc + jr;
-            bstride = b.ld();
-          } else if (strided_b) {
-            // Edge stripe of the strided path: zero-pad into the per-thread
-            // scratch so the microkernel can read full NR lanes.
-            if (bedge_jc != jc || bedge_pc != pc) {
-              pack_b_panel<T>(transb, b, pc, jc, jr, nc, kc, NR,
-                              bedge.data());
-              bedge_jc = jc;
-              bedge_pc = pc;
-            }
-            bp = bedge.data();
-            bstride = NR;
-          } else {
-            bp = bpack.data() + (jr / NR) * (NR * kc);
-            bstride = NR;
-          }
-          for (index_t ir = 0; ir < mc; ir += MR) {
-            const T* a_cur = ap + (ir / MR) * (MR * kc);
-            const T* a_next = (ir + MR < mc) ? a_cur + MR * kc : nullptr;
-            mk.fn(kc, a_cur, bp, bstride, c0 + ir * c.ld(), c.ld(),
-                  std::min(MR, mc - ir), nr, a_next, b_next);
-          }
-        };
-
-        if (!shared_a) {
-#ifdef _OPENMP
-#pragma omp for schedule(dynamic, 1)
-#endif
-          for (index_t ib = 0; ib < ni_blocks; ++ib) {
-            const index_t ic = ib * mc_blk;
-            const index_t mc = std::min(mc_blk, m - ic);
-            pack_a<T>(transa, alpha, a, ic, pc, mc, kc, MR, apack.data());
-            for (index_t jr = 0; jr < nc; jr += NR) {
-              const T* b_next = (!strided_b && jr + NR < nc)
-                                    ? bpack.data() + (jr / NR + 1) * (NR * kc)
-                                    : nullptr;
-              do_stripe(apack.data(), ic, mc, jr, b_next);
-            }
-          }
-          // (implicit barrier: everyone is done reading bpack before repack)
-        } else {
-          for (index_t ib = 0; ib < ni_blocks; ++ib) {
-            const index_t ic = ib * mc_blk;
-            const index_t mc = std::min(mc_blk, m - ic);
-            const index_t na_panels = ceil_div(mc, MR);
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-            for (index_t ip = 0; ip < na_panels; ++ip) {
-              pack_a<T>(transa, alpha, a, ic + ip * MR, pc,
-                        std::min(MR, mc - ip * MR), kc, MR,
-                        ashared.data() + ip * (MR * kc));
-            }
-            // (implicit barrier: the shared A block is complete here)
-            const index_t nj_stripes = ceil_div(nc, NR);
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-            for (index_t js = 0; js < nj_stripes; ++js) {
-              const T* b_next =
-                  (!strided_b && (js + 1) * NR < nc)
-                      ? bpack.data() + (js + 1) * (NR * kc)
-                      : nullptr;
-              do_stripe(ashared.data(), ic, mc, js * NR, b_next);
-            }
-            // (implicit barrier: stripes done before the A block repacks)
-          }
+      if (!shared_a) {
+        pool.parallel_for(ni_blocks, [&](index_t ib) {
+          const index_t ic = ib * mc_blk;
+          const index_t mc = std::min(mc_blk, m - ic);
+          T* const apack = grown(pack_bufs<T>().apack, apack_size);
+          pack_a<T>(transa, alpha, a, ic, pc, mc, kc, MR, apack);
+          for (index_t jr = 0; jr < nc; jr += NR) do_stripe(apack, ic, mc, jr);
+        });
+      } else {
+        for (index_t ib = 0; ib < ni_blocks; ++ib) {
+          const index_t ic = ib * mc_blk;
+          const index_t mc = std::min(mc_blk, m - ic);
+          pool.parallel_for(ceil_div(mc, MR), [&](index_t ip) {
+            pack_a<T>(transa, alpha, a, ic + ip * MR, pc,
+                      std::min(MR, mc - ip * MR), kc, MR,
+                      ashared + ip * (MR * kc));
+          });
+          pool.parallel_for(nb_panels, [&](index_t js) {
+            do_stripe(ashared, ic, mc, js * NR);
+          });
         }
       }
     }

@@ -12,7 +12,7 @@ namespace {
 
 // Unset, malformed, or non-positive values all fall back to the default
 // (a clamped-to-1 block size from a typo'd negative would be a silent
-// performance cliff). XBLAS_THREADS is the one knob where 0 is meaningful.
+// performance cliff). XBLAS_SMALL_K is the one knob where 0 is meaningful.
 // `applied` (when non-null) is set to true only when the variable actually
 // overrode the fallback — Tuning::detect() uses it for source attribution.
 index_t env_index(const char* name, index_t fallback, index_t minimum = 1,
@@ -38,7 +38,6 @@ Tuning apply_env(Tuning t, bool* applied) {
   t.nc = env_index("XBLAS_NC", t.nc, 1, applied);
   t.db = env_index("XBLAS_DB", t.db, 1, applied);
   t.lu_nb = env_index("XBLAS_LU_NB", t.lu_nb, 1, applied);
-  t.threads = static_cast<int>(env_index("XBLAS_THREADS", t.threads, 0));
   t.small_k = env_index("XBLAS_SMALL_K", t.small_k, 0);  // 0 disables
   t.sanitize();
   return t;
@@ -52,7 +51,6 @@ void Tuning::sanitize() {
   if (nc < kNR) nc = kNR;
   if (db < 1) db = 1;
   if (lu_nb < 1) lu_nb = 1;
-  if (threads < 0) threads = 0;
   if (small_gemm_flops < 0.0) small_gemm_flops = 0.0;
   if (small_k < 0) small_k = 0;
   // fp32 overrides: 0 means "derive from fp64", so only clamp garbage up

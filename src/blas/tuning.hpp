@@ -13,7 +13,10 @@
 //   XBLAS_MC, XBLAS_KC, XBLAS_NC   gemm cache block sizes
 //   XBLAS_DB                       trsm/syrk/gemmt diagonal block size
 //   XBLAS_LU_NB                    getrf/potrf panel width
-//   XBLAS_THREADS                  OpenMP thread count (0 = library default)
+//
+// Thread count is not a tuning field: gemm runs its parallel loops on the
+// task pool, whose width ScopedThreadCap (below) or CONFLUX_POOL_THREADS
+// sets (src/sched/taskpool.hpp).
 //
 // Initialization precedence (Tuning::detect(), run once at first BLAS use):
 //   1. compiled-in defaults (below), then
@@ -74,9 +77,6 @@ struct Tuning {
   index_t db = 64;
   /// Panel width for the blocked getrf / potrf in src/blas/lapack.cpp.
   index_t lu_nb = 32;
-  /// OpenMP thread count for gemm-family routines; 0 means "whatever
-  /// omp_get_max_threads() says". Ignored in non-OpenMP builds.
-  int threads = 0;
   /// Problems with 2*m*n*k at or below this skip packing entirely and use a
   /// direct strided kernel (packing overhead dominates for tiny blocks).
   double small_gemm_flops = 65536.0;
@@ -94,7 +94,7 @@ struct Tuning {
   index_t kc_f32 = 0;
   index_t nc_f32 = 0;
 
-  /// Clamp every field to a sane value (>= 1 sizes, >= 0 threads).
+  /// Clamp every field to a sane value (>= 1 sizes).
   void sanitize();
 
   /// Full initialization chain: defaults -> persisted autotuner entry for
@@ -117,17 +117,19 @@ Tuning tuning_from_env();
 /// every BENCH_*.json row so perf numbers stay attributable.
 const char* tuning_source();
 
-/// Per-thread cap on the gemm-family OpenMP team width (0 = no cap). The
-/// task pool (src/sched/taskpool.hpp) sets this to 1 around every task and
-/// parallel_for chunk it executes — on its workers AND on the helping
-/// master thread — so BLAS calls inside pool work never fork nested teams,
-/// regardless of the caller's OpenMP ICV or an XBLAS_THREADS override: the
-/// pool itself is the parallelism there. Direct BLAS calls from ordinary
-/// threads are unaffected.
+/// Per-thread team-width override (0 = none): the one in-process width
+/// setting. sched::TaskPool::width() returns it ahead of CONFLUX_POOL_THREADS
+/// and the CPU count, so it raises the width as well as lowers it; gemm's
+/// parallel loops and every parallel_for / submit issued from this thread
+/// follow it. The task pool sets it to 1 on its workers and around every
+/// task and parallel_for index it executes — on the helping master thread
+/// too — so BLAS calls inside pool work never fork: the pool itself is the
+/// parallelism there.
 int tls_thread_cap();
 void set_tls_thread_cap(int cap);
 
-/// RAII guard for tls_thread_cap.
+/// RAII guard for tls_thread_cap: the width of this thread's work while it
+/// lives (ScopedThreadCap(1) keeps a caller entirely off the pool).
 class ScopedThreadCap {
  public:
   explicit ScopedThreadCap(int cap) : saved_(tls_thread_cap()) {

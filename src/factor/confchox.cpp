@@ -331,7 +331,7 @@ void verify_chol_abft(CholRun<T>& run, index_t t) {
   constexpr index_t kRowsPerChunk = 128;
   const index_t nchunks = (live + kRowsPerChunk - 1) / kRowsPerChunk;
   std::atomic<index_t> bad{run.npad};
-  sched::parallel_ranks(nchunks, [&](index_t c) {
+  sched::TaskPool::instance().parallel_for(nchunks, [&](index_t c) {
     const index_t lo = col0 + c * kRowsPerChunk;
     const index_t hi = std::min(run.npad, lo + kRowsPerChunk);
     for (index_t r = lo; r < hi; ++r) {
@@ -512,8 +512,8 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
            static_cast<double>(v) * static_cast<double>(v)) *
           static_cast<double>(sizeof(T)));
     };
+    sched::TaskPool& pool = sched::TaskPool::instance();
     if (run.la) {
-      sched::TaskPool& pool = sched::TaskPool::instance();
       for (int r = 0; r < p; ++r) {
         // Retryable: the injected transient fault fires before the body
         // runs, so the in-place solve has not happened on a retried attempt
@@ -524,7 +524,7 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
             /*retryable=*/true));
       }
     } else {
-      sched::parallel_ranks(p, chunk);
+      pool.parallel_for(p, chunk);
     }
   }
   run.m.step_barrier();
@@ -714,11 +714,11 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
       }
     };
 
+    sched::TaskPool& pool = sched::TaskPool::instance();
     if (run.la) {
       // Dependencies: both pieces read this step's solved panel (all trsm
       // chunks) and write trailing cells the previous lazy remainder also
       // writes — express both instead of waiting.
-      sched::TaskPool& pool = sched::TaskPool::instance();
       run.dep_scratch.assign(run.trsm_ids.begin(), run.trsm_ids.end());
       run.dep_scratch.insert(run.dep_scratch.end(), prev_lazy.begin(),
                              prev_lazy.end());
@@ -739,8 +739,8 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
         }
       }
     } else {
-      sched::parallel_ranks(nblocks, urgent_block);
-      if (split) sched::parallel_ranks(nblocks, lazy_block);
+      pool.parallel_for(nblocks, urgent_block);
+      if (split) pool.parallel_for(nblocks, lazy_block);
     }
   }
   run.m.step_barrier();

@@ -204,7 +204,7 @@ enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
 /// decomposed into an URGENT stripe (the next panel's v columns) and a LAZY
 /// remainder, both in fixed kRowBlock row-block tasks — the decomposition,
 /// and therefore every factor bit, is identical whether the tasks run
-/// step-synchronously (parallel_ranks) or pipelined on the persistent
+/// step-synchronously (parallel_for) or pipelined on the persistent
 /// TaskPool with cross-step dependencies (lookahead_enabled).
 template <typename T>
 struct LuRun {
@@ -621,7 +621,7 @@ void verify_abft(LuRun<T>& run, index_t t) {
   constexpr index_t kRowsPerChunk = 128;
   const index_t nchunks = (run.nact + kRowsPerChunk - 1) / kRowsPerChunk;
   std::atomic<index_t> bad{run.nact};
-  sched::parallel_ranks(nchunks, [&](index_t c) {
+  sched::TaskPool::instance().parallel_for(nchunks, [&](index_t c) {
     const index_t lo = c * kRowsPerChunk;
     const index_t hi = std::min(run.nact, lo + kRowsPerChunk);
     for (index_t i = lo; i < hi; ++i) {
@@ -731,7 +731,7 @@ void tournament_pivot(LuRun<T>& run, index_t t) {
   for (int x = 0; x < px; ++x) {
     run.tracker.rows_for_x_into(x, s.xrows[static_cast<std::size_t>(x)]);
   }
-  sched::parallel_ranks(px, [&](index_t x) {
+  sched::TaskPool::instance().parallel_for(px, [&](index_t x) {
     const auto xi = static_cast<std::size_t>(x);
     const auto& rows = s.xrows[xi];
     const auto nrows = static_cast<index_t>(rows.size());
@@ -929,7 +929,7 @@ void reduce_pivot_rows(LuRun<T>& run, index_t t, MatrixView<T>* pivotrows) {
     if (run.la) sched::TaskPool::instance().wait(run.lazy_ids);
     *pivotrows = run.ws.template mat<T>(
         (t & 1) != 0 ? kPivotRows1 : kPivotRows0, run.v, ncols);
-    sched::parallel_ranks(run.v, [&](index_t l) {
+    sched::TaskPool::instance().parallel_for(run.v, [&](index_t l) {
       const index_t pi = run.winner_slots[static_cast<std::size_t>(l)];
       const T* src = &run.trail(pi, (t + 1) * run.v);
       std::copy(src, src + ncols, pivotrows->row(l));
@@ -1090,8 +1090,8 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
                      pivotrows.block(0, run.v, run.v, lcols), T{1},
                      run.trail.block(i0, (t + 1) * run.v + run.v, bn, lcols));
     };
+    sched::TaskPool& pool = sched::TaskPool::instance();
     if (run.la) {
-      sched::TaskPool& pool = sched::TaskPool::instance();
       for (index_t blk = 0; blk < nblocks; ++blk) {
         // Retryable: the injected transient fault fires before the body
         // runs, so the beta=1 accumulation has not happened on a retried
@@ -1112,8 +1112,8 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
         }
       }
     } else {
-      sched::parallel_ranks(nblocks, urgent_block);
-      if (lcols > 0) sched::parallel_ranks(nblocks, lazy_block);
+      pool.parallel_for(nblocks, urgent_block);
+      if (lcols > 0) pool.parallel_for(nblocks, lazy_block);
     }
   }
   run.m.step_barrier();
@@ -1452,18 +1452,18 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
       }
       if (run.real) {
         if (!run.la && a10_rows > 0) {
-          sched::parallel_ranks(p, a10_chunk);
+          pool.parallel_for(p, a10_chunk);
         }
         if (ncols > 0) {
           // A01 <- L00^{-1} * A01: final U rows of the pivots.
-          sched::parallel_ranks(p, [&](index_t r) {
+          pool.parallel_for(p, [&](index_t r) {
             const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
             const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
             if (cnt == 0) return;
             xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
                            T{1}, run.a00.view(), pivotrows.block(0, lo, v, cnt));
           });
-          sched::parallel_ranks(v, [&](index_t l) {
+          pool.parallel_for(v, [&](index_t l) {
             const index_t row = run.winners[static_cast<std::size_t>(l)];
             for (index_t j = 0; j < ncols; ++j) {
               run.lstore(row, (t + 1) * v + j) = pivotrows(l, j);

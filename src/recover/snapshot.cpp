@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "recover/options.hpp"
-#include "sched/rank_parallel.hpp"
+#include "sched/taskpool.hpp"
 #include "support/metrics.hpp"
 
 namespace conflux::recover {
@@ -68,7 +68,8 @@ std::uint64_t payload_checksum(const std::uint8_t* data, std::size_t bytes) {
   const std::size_t nchunks =
       bytes == 0 ? 0 : (bytes - 1) / kChecksumChunkBytes + 1;
   std::vector<std::uint64_t> digests(nchunks);
-  sched::parallel_ranks(static_cast<index_t>(nchunks), [&](index_t c) {
+  const auto n = static_cast<index_t>(nchunks);
+  sched::TaskPool::instance().parallel_for(n, [&](index_t c) {
     const std::size_t lo = static_cast<std::size_t>(c) * kChecksumChunkBytes;
     const std::size_t len = std::min(kChecksumChunkBytes, bytes - lo);
     digests[static_cast<std::size_t>(c)] = digest_range(data + lo, len);

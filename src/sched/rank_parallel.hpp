@@ -1,45 +1,20 @@
-// Deterministic fan-out over simulated-rank (or layer) tasks — a thin
-// compatibility shim over the persistent TaskPool (sched/taskpool.hpp).
+// Deterministic fan-out over simulated-rank (or layer) tasks.
 //
 // Real-mode execution keeps one OS process for all P simulated ranks, so
 // per-rank local compute — the 1D panel trsms and the per-layer Schur
-// updates, which operate on disjoint buffers — can run across host threads.
-// Historically this forked a fresh OpenMP team per call; it now rides the
-// pool's long-lived workers (parallel_for), keeping the two rules that make
+// updates, which operate on disjoint buffers — runs across host threads
+// through TaskPool::parallel_for (sched/taskpool.hpp). Two rules make
 // results bitwise-identical for every thread count (DESIGN.md):
 //   1. the task decomposition is fixed by the schedule (per simulated rank
 //      / per layer / fixed row blocks), never by the worker count;
 //   2. each output element is written by exactly one task, with the same
 //      arithmetic the serial loop performs.
 // Threads then only change *who* executes a task, not what it computes.
-//
-// Fast path: when n < 2, only one thread is configured, or the caller is
-// already inside a pool worker or an OpenMP parallel region, the loop runs
-// inline with zero synchronization — no team spin-up for single-chunk work
-// (TaskPool::parallel_for performs the same checks; the omp_in_parallel
-// guard here covers callers nested under foreign OpenMP regions).
 #pragma once
 
-#include "sched/taskpool.hpp"
 #include "tensor/matrix.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace conflux::sched {
-
-/// Run body(i) for i in [0, n). Tasks must be independent (disjoint writes).
-template <typename Body>
-void parallel_ranks(index_t n, Body&& body) {
-#ifdef _OPENMP
-  if (omp_in_parallel()) {
-    for (index_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-#endif
-  TaskPool::instance().parallel_for(n, std::forward<Body>(body));
-}
 
 /// Fixed row-block width for blocked per-task updates: a multiple of the
 /// gemm register tile so block boundaries never change microkernel edge

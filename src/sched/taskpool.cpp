@@ -9,8 +9,8 @@
 #include "support/metrics.hpp"
 #include "support/status.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
+#ifdef __linux__
+#include <sched.h>
 #endif
 
 namespace conflux::sched {
@@ -48,6 +48,25 @@ int env_pool_threads() {
   }();
   return value;
 }
+
+/// CPUs this process may run on (its affinity mask), read once.
+int available_cpus() {
+  static const int value = [] {
+#ifdef __linux__
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+      return CPU_COUNT(&set);
+    }
+#endif
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw > 0 ? static_cast<int>(hw) : 1;
+  }();
+  return value;
+}
+
+/// How long an idle worker, or a master whose parallel_for indices are all
+/// claimed, polls before blocking on a condition variable.
+constexpr std::chrono::microseconds kIdleSpin{100};
 
 double env_watchdog_seconds() {
   static const double value = [] {
@@ -129,14 +148,9 @@ TaskPool::~TaskPool() {
 }
 
 int TaskPool::width() const {
-  const int env = env_pool_threads();
-  if (env > 0) return env;
-#ifdef _OPENMP
-  const int w = omp_get_max_threads();
-  return w > 0 ? w : 1;
-#else
-  return 1;
-#endif
+  if (const int w = xblas::tls_thread_cap(); w > 0) return w;
+  if (const int env = env_pool_threads(); env > 0) return env;
+  return available_cpus();
 }
 
 bool TaskPool::on_worker_thread() { return tls_on_worker; }
@@ -191,8 +205,8 @@ void TaskPool::run_task_body(const std::function<void()>& fn, bool retryable) {
                                 "injected transient task fault"));
     }
   }
-  // Pool work never forks nested BLAS teams, even when the helping master
-  // executes it (tuning.hpp, tls_thread_cap).
+  // Pool work never forks, even when the helping master executes it
+  // (tuning.hpp, tls_thread_cap).
   xblas::ScopedThreadCap cap(1);
   fn();
 }
@@ -315,6 +329,7 @@ TaskId TaskPool::submit(std::function<void()> fn, const char* name,
       g_ready_lazy_depth.set(static_cast<double>(ready_lazy_.size()));
     }
     lock.unlock();
+    work_posted_.fetch_add(1, std::memory_order_relaxed);
     work_cv_.notify_one();
   }
   return id;
@@ -398,7 +413,10 @@ void TaskPool::finish_task(TaskId id, Task& task, int worker_index, double t0,
   // pool forever: once the graph is empty with no error pending, new work
   // is accepted again.
   if (live_tasks_ == 0 && !error_) cancelled_ = false;
-  if (woke_ready) work_cv_.notify_all();
+  if (woke_ready) {
+    work_posted_.fetch_add(1, std::memory_order_relaxed);
+    work_cv_.notify_all();
+  }
 }
 
 void TaskPool::execute_task(TaskId id, Task&& task, int worker_index) {
@@ -693,6 +711,7 @@ void TaskPool::run_parallel_job(ParallelJob& job, int team_width) {
   ensure_workers(team_width - 1);
   job_ = &job;
   lock.unlock();
+  work_posted_.fetch_add(1, std::memory_order_relaxed);
   work_cv_.notify_all();
 
   // Master claims indices alongside the workers. A body that throws (on
@@ -718,6 +737,15 @@ void TaskPool::run_parallel_job(ParallelJob& job, int team_width) {
       ++job.done;
     }
   }
+  // The other indices usually finish within microseconds of the master's
+  // last one: poll briefly before paying for a sleep and a wake-up.
+  const auto spin_end = std::chrono::steady_clock::now() + kIdleSpin;
+  while (job.done + job.skipped < job.total &&
+         std::chrono::steady_clock::now() < spin_end) {
+    lock.unlock();
+    std::this_thread::yield();
+    lock.lock();
+  }
   auto give_up = std::chrono::steady_clock::time_point{};
   while (job.done + job.skipped < job.total) {
     if (!blocked_wait(lock, give_up)) break;
@@ -729,17 +757,15 @@ void TaskPool::run_parallel_job(ParallelJob& job, int team_width) {
 
 void TaskPool::worker_main(int worker_index) {
   tls_on_worker = true;
-  // BLAS calls inside tasks must not spawn nested OpenMP teams: the pool
-  // itself is the parallelism. The per-thread cap also defeats an
-  // XBLAS_THREADS override, which ignores the OpenMP ICV.
+  // Work running on a worker never forks: the pool itself is the
+  // parallelism (tuning.hpp, tls_thread_cap).
   xblas::set_tls_thread_cap(1);
-#ifdef _OPENMP
-  omp_set_num_threads(1);
-#endif
   std::unique_lock<std::mutex> lock(mutex_);
+  bool spun = false;
   for (;;) {
     if (stop_) return;
     if (job_ != nullptr && job_->next < job_->total) {
+      spun = false;
       ParallelJob& job = *job_;
       const index_t i = job.next++;
       lock.unlock();
@@ -764,6 +790,7 @@ void TaskPool::worker_main(int worker_index) {
     }
     const TaskId id = pop_ready(/*allow_lazy=*/true);
     if (id != 0) {
+      spun = false;
       auto it = tasks_.find(id);
       Task task = std::move(it->second);
       it->second.fn = nullptr;
@@ -772,6 +799,24 @@ void TaskPool::worker_main(int worker_index) {
       lock.lock();
       continue;
     }
+    if (!spun) {
+      // Idle: stay awake briefly before sleeping, so the next job of a
+      // back-to-back sequence (gemm's packing and compute loops, a step's
+      // row blocks) finds this worker running instead of paying a wake-up.
+      // The spin ends early when work is posted; the state is re-checked
+      // under the lock before any sleep, so no wake-up can be lost.
+      spun = true;
+      const std::uint64_t seen = work_posted_.load(std::memory_order_relaxed);
+      lock.unlock();
+      const auto spin_end = std::chrono::steady_clock::now() + kIdleSpin;
+      while (work_posted_.load(std::memory_order_relaxed) == seen &&
+             std::chrono::steady_clock::now() < spin_end) {
+        std::this_thread::yield();
+      }
+      lock.lock();
+      continue;
+    }
+    spun = false;
     work_cv_.wait(lock);
   }
 }

@@ -1,11 +1,11 @@
 // Persistent dependency-driven task pool for Real-mode execution
 // (DESIGN.md "Pipelined execution and the lookahead time model").
 //
-// The per-step fork/join of the old `parallel_ranks` OpenMP fan-outs paid a
-// team spin-up per phase and — worse — forced a full barrier at every phase
-// boundary, so step t+1's tournament pivoting waited for step t's *entire*
-// Schur gemm even though it only reads the next panel's v columns. The pool
-// replaces that with:
+// The per-step fork/join of the old `parallel_ranks` thread-team fan-outs
+// paid a team spin-up per phase and — worse — forced a full barrier at every
+// phase boundary, so step t+1's tournament pivoting waited for step t's
+// *entire* Schur gemm even though it only reads the next panel's v columns.
+// The pool replaces that with:
 //
 //   - long-lived workers (std::thread, spawned once and grown on demand,
 //     never torn down between steps or factorizations);
@@ -22,22 +22,25 @@
 //     exactly one task whose decomposition is fixed by the schedule, the
 //     two rules of rank_parallel.hpp.
 //
-// Threading model: the calling ("master") thread is part of the team, as it
-// was under OpenMP. `parallel_for` runs the master plus up to width()-1
-// workers over a fixed index range with no heap allocation; `submit` hands
-// a task to the workers and returns immediately; `wait` blocks the master,
-// helping with ready non-lazy tasks instead of spinning (so a 2-thread
-// machine still overlaps: the worker grinds the lazy gemm while the master
-// executes the next panel's tasks). Workers pin their OpenMP ICV to one
-// thread at startup, so BLAS calls inside tasks never spawn nested teams.
+// Threading model: the pool is the process's one threading runtime — the
+// factor cores' tasks and gemm's parallel loops (src/blas/gemm.cpp) share its
+// workers. The calling ("master") thread is part of the team. `parallel_for`
+// runs the master plus up to width()-1 workers over a fixed index range
+// with no heap allocation; `submit` hands a task to the workers and
+// returns immediately; `wait` blocks the master, helping with ready
+// non-lazy tasks instead of spinning (so a 2-thread machine still overlaps:
+// the worker grinds the lazy gemm while the master executes the next
+// panel's tasks). Tasks and parallel_for indices run at width 1, on workers
+// and on the helping master alike, so a gemm inside pool work never forks.
+// An idle worker polls for ~100 us before it sleeps, so back-to-back
+// parallel_for calls (gemm's packing and compute loops) skip the wake-up.
 //
-// Width: omp_get_max_threads() of the calling thread at each use (so
-// omp_set_num_threads keeps working as the knob it always was), overridable
-// via CONFLUX_POOL_THREADS; in non-OpenMP builds the env variable is the
-// only knob and the default width is 1 (serial, matching the old behavior).
-// Width 1 short-circuits everything: parallel_for runs inline and submit
-// executes the task immediately on the caller — the explicit fast path that
-// skips all team machinery for single-chunk work.
+// Width, resolved at each use: the calling thread's xblas::ScopedThreadCap
+// override if one is set (blas/tuning.hpp), else CONFLUX_POOL_THREADS, else
+// the number of CPUs the process may run on. Width 1 short-circuits
+// everything: parallel_for runs inline and submit executes the task
+// immediately on the caller — the explicit fast path that skips all team
+// machinery for single-chunk work.
 // Failure semantics (DESIGN.md "Failure model and degradation ladder"):
 // an exception thrown inside a task no longer terminates the worker — it is
 // captured (non-status exceptions are wrapped into a classified
@@ -137,12 +140,13 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Team width for work issued right now: env override, else the calling
-  /// thread's omp_get_max_threads() (1 in non-OpenMP builds). Always >= 1.
+  /// Team width for work issued right now from the calling thread: its
+  /// ScopedThreadCap override, else CONFLUX_POOL_THREADS, else the CPUs the
+  /// process may run on. Always >= 1.
   int width() const;
 
   /// True on a pool worker thread (used by parallel_for to run nested
-  /// parallelism inline, mirroring the old omp_in_parallel() check).
+  /// parallelism inline).
   static bool on_worker_thread();
 
   /// Submit a task with explicit dependencies. Completed (or unknown)
@@ -319,6 +323,8 @@ class TaskPool {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< workers: new ready work / shutdown
+  /// Bumped whenever work is posted; ends an idle worker's spin early.
+  std::atomic<std::uint64_t> work_posted_{0};
   std::condition_variable done_cv_;  ///< waiters: a task or job index finished
   std::vector<std::thread> workers_;
   std::unordered_map<TaskId, Task> tasks_;  ///< submitted, not yet completed

@@ -188,12 +188,14 @@ SolveResponse run_request(const SolveRequest& req, const ServiceOptions& opt,
   }
   resp.factor_s = seconds_since(factor_t0);
 
-  // Solve. One BLAS thread per request — both paths, so the golden and the
-  // service run the identical kernel configuration.
+  // Solve. Solves and refinement run leaseless, so they run at width 1 and
+  // stay off the pool (both paths, so the golden and the service run the
+  // identical kernel configuration); the leased fp64 fallback factorization
+  // below keeps the pool's full width.
   const auto solve_t0 = std::chrono::steady_clock::now();
   prof::ScopedSpan span("serve.solve");
-  xblas::ScopedThreadCap cap(1);
   if (req.precision == Precision::kFp64) {
+    xblas::ScopedThreadCap cap(1);
     resp.health = entry->health();
     resp.x = rhs_copy(req);
     if (req.b.cols() > 0) {
@@ -213,6 +215,7 @@ SolveResponse run_request(const SolveRequest& req, const ServiceOptions& opt,
   // Mixed-precision ladder: refine against the fp32 factors, fall back to a
   // fresh fp64 factor + direct solve when refinement cannot deliver.
   if (entry != nullptr) {
+    xblas::ScopedThreadCap cap(1);
     resp.health = entry->health();
     resp.x = rhs_copy(req);
     const factor::RefineReport rep =
@@ -280,6 +283,7 @@ SolveResponse run_request(const SolveRequest& req, const ServiceOptions& opt,
     }
   }
   if (req.b.cols() > 0) {
+    xblas::ScopedThreadCap cap(1);
     resp.backward_error =
         factor::solve_backward_error(req.a, resp.x.view(), req.b);
   }

@@ -147,32 +147,6 @@ TEST(Gemm, SmallKPathMatchesPackedPathBitwise) {
   EXPECT_EQ(fast, packed);
 }
 
-TEST(Gemm, JrParallelPathBitwiseIdenticalAcrossThreadCounts) {
-  // Panel-update shapes (m <= one cache block) used to pin the whole gemm
-  // to one thread; the jr-parallel path splits the stripe loop instead.
-  // Whatever the thread count, every C tile is computed from the same
-  // packed/streamed values in the same order: results must be bitwise equal.
-  const Tuning saved = tuning();
-  tuning().small_gemm_flops = 0.0;  // keep even small shapes on the blocked path
-  for (const index_t k : {16, 128}) {       // strided-B and packed-B variants
-    for (const auto tb : {Trans::None, Trans::Transpose}) {
-      const index_t m = 64, n = 520;
-      const MatrixD a = random_matrix(m, k, 84);
-      const MatrixD b = tb == Trans::None ? random_matrix(k, n, 85)
-                                          : random_matrix(n, k, 85);
-      const MatrixD c0 = random_matrix(m, n, 86);
-      tuning().threads = 1;
-      MatrixD one = c0;
-      gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, one.view());
-      tuning().threads = 4;  // m/mc = 1 block << 4 threads: jr-parallel path
-      MatrixD four = c0;
-      gemm(Trans::None, tb, -1.0, a.view(), b.view(), 1.0, four.view());
-      EXPECT_EQ(one, four) << "k=" << k;
-    }
-  }
-  tuning() = saved;
-}
-
 TEST(Gemm, PackedPathWorksOnStridedSubviews) {
   // Large enough to take the packed/blocked path, with ld > cols on every
   // operand so the packing routines see genuine strides.
@@ -460,36 +434,6 @@ INSTANTIATE_TEST_SUITE_P(
 // thread counts: threads partition the output (never a reduction), and the
 // accumulation order per C element is fixed by the loop structure.
 
-class ScopedThreads {
- public:
-  explicit ScopedThreads(int n) : saved_(tuning().threads) {
-    tuning().threads = n;
-  }
-  ~ScopedThreads() { tuning().threads = saved_; }
-
- private:
-  int saved_;
-};
-
-TEST(Determinism, GemmBitwiseStableAcrossRunsAndThreadCounts) {
-  const index_t n = 197;
-  const MatrixD a = random_matrix(n, n, 31);
-  const MatrixD b = random_matrix(n, n, 32);
-  MatrixD base(n, n);
-  {
-    ScopedThreads one(1);
-    gemm(Trans::None, Trans::None, 1.0, a.view(), b.view(), 0.0, base.view());
-  }
-  for (const int threads : {1, 2, 3, 4, 7}) {
-    ScopedThreads scoped(threads);
-    for (int rep = 0; rep < 2; ++rep) {
-      MatrixD c(n, n);
-      gemm(Trans::None, Trans::None, 1.0, a.view(), b.view(), 0.0, c.view());
-      EXPECT_EQ(c, base) << "threads=" << threads << " rep=" << rep;
-    }
-  }
-}
-
 TEST(Determinism, SyrkAndTrsmBitwiseStableAcrossThreadCounts) {
   const index_t n = 197;
   const MatrixD a = random_matrix(n, n, 33);
@@ -500,13 +444,13 @@ TEST(Determinism, SyrkAndTrsmBitwiseStableAcrossThreadCounts) {
   MatrixD syrk_base(n, n, 0.0);
   MatrixD trsm_base = rhs;
   {
-    ScopedThreads one(1);
+    const ScopedThreadCap one(1);
     syrk(UpLo::Lower, Trans::None, 1.0, a.view(), 0.0, syrk_base.view());
     trsm(Side::Left, UpLo::Lower, Trans::None, Diag::NonUnit, 1.0, t.view(),
          trsm_base.view());
   }
   for (const int threads : {2, 5}) {
-    ScopedThreads scoped(threads);
+    const ScopedThreadCap width(threads);
     MatrixD c(n, n, 0.0);
     syrk(UpLo::Lower, Trans::None, 1.0, a.view(), 0.0, c.view());
     EXPECT_EQ(c, syrk_base) << "threads=" << threads;
@@ -581,23 +525,9 @@ TEST(Fp32, GemmTransposedOperandsMatchReference) {
   }
 }
 
-TEST(Fp32, GemmBitwiseStableAcrossThreadCountsAndSmallKPath) {
-  const index_t n = 197;
-  const MatrixF a = to_f32(random_matrix(n, n, 51));
-  const MatrixF b = to_f32(random_matrix(n, n, 52));
-  MatrixF base(n, n);
-  {
-    ScopedThreads one(1);
-    gemm(Trans::None, Trans::None, 1.0f, a.view(), b.view(), 0.0f, base.view());
-  }
-  for (const int threads : {2, 3, 7}) {
-    ScopedThreads scoped(threads);
-    MatrixF c(n, n);
-    gemm(Trans::None, Trans::None, 1.0f, a.view(), b.view(), 0.0f, c.view());
-    EXPECT_EQ(c, base) << "threads=" << threads;
-  }
+TEST(Fp32, SmallKPathMatchesPackedPathBitwise) {
   // Small-k strided path vs packed path, same bitwise guarantee as fp64.
-  const index_t ksmall = 24;
+  const index_t n = 197, ksmall = 24;
   const MatrixF a2 = to_f32(random_matrix(n, ksmall, 53));
   const MatrixF b2 = to_f32(random_matrix(ksmall, n, 54));
   const Tuning saved = tuning();
@@ -609,6 +539,59 @@ TEST(Fp32, GemmBitwiseStableAcrossThreadCountsAndSmallKPath) {
   tuning() = saved;
   EXPECT_EQ(small, packed);
 }
+
+// ----------------------------------------------------- width invariance ----
+// gemm is bitwise identical at every team width, forced past nproc by the
+// ScopedThreadCap override. The shapes cover each parallel path: the ic
+// split (m spans several mc blocks), the shared-A jr split (m fits one mc
+// block), and the strided-B small-k path (k <= small_k, ragged edge stripe
+// included), with transposed B where the path allows it.
+
+template <typename T>
+void expect_gemm_width_invariant(int width) {
+  struct Shape {
+    index_t m, n, k;
+    Trans tb;
+  };
+  const Shape shapes[] = {
+      {197, 197, 197, Trans::None},       // ic split, packed B
+      {197, 150, 130, Trans::Transpose},  // ic split, transposed B
+      {197, 230, 24, Trans::None},        // ic split, strided B
+      {64, 520, 128, Trans::None},        // jr split, packed B
+      {64, 520, 128, Trans::Transpose},   // jr split, transposed B
+      {64, 523, 16, Trans::None},         // jr split, strided B
+  };
+  const Tuning saved = tuning();
+  tuning().small_gemm_flops = 0.0;  // keep even small shapes on the blocked path
+  for (const Shape& s : shapes) {
+    Matrix<T> a(s.m, s.k), b(s.tb == Trans::None ? s.k : s.n,
+                             s.tb == Trans::None ? s.n : s.k),
+        c0(s.m, s.n);
+    convert<double, T>(random_matrix(a.rows(), a.cols(), 84).view(), a.view());
+    convert<double, T>(random_matrix(b.rows(), b.cols(), 85).view(), b.view());
+    convert<double, T>(random_matrix(s.m, s.n, 86).view(), c0.view());
+    const auto run = [&](int w) {
+      const ScopedThreadCap cap(w);
+      Matrix<T> c = c0;
+      gemm(Trans::None, s.tb, T{-1}, a.view(), b.view(), T{1}, c.view());
+      return c;
+    };
+    EXPECT_EQ(run(width), run(1))
+        << s.m << "x" << s.n << "x" << s.k << " width=" << width;
+  }
+  tuning() = saved;
+}
+
+class GemmWidth : public ::testing::TestWithParam<int> {};
+
+TEST_P(GemmWidth, Fp64BitwiseIdenticalToWidthOne) {
+  expect_gemm_width_invariant<double>(GetParam());
+}
+TEST_P(GemmWidth, Fp32BitwiseIdenticalToWidthOne) {
+  expect_gemm_width_invariant<float>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, GemmWidth, ::testing::Values(1, 2, 3, 4));
 
 TEST(Fp32, TrsmSolveThenMultiplyRoundTrips) {
   const index_t n = 160, nrhs = 48;
@@ -659,13 +642,11 @@ TEST(Tuning, SanitizeClampsDegenerateValues) {
   t.kc = -5;
   t.nc = 1;
   t.db = 0;
-  t.threads = -2;
   t.sanitize();
   EXPECT_GE(t.mc, kMR);
   EXPECT_GE(t.kc, 1);
   EXPECT_GE(t.nc, kNR);
   EXPECT_GE(t.db, 1);
-  EXPECT_EQ(t.threads, 0);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -673,7 +654,7 @@ TEST(Tuning, EnvironmentOverridesAreHonored) {
   // Clear every variable the assertions depend on, so a tuned caller
   // environment (e.g. XBLAS_NC=... ctest) cannot fail the test.
   for (const char* var : {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
-                          "XBLAS_LU_NB", "XBLAS_THREADS"}) {
+                          "XBLAS_LU_NB"}) {
     ::unsetenv(var);
   }
   ::setenv("XBLAS_MC", "96", 1);
@@ -1073,7 +1054,7 @@ TEST(Tuning, DetectPrecedenceIsDefaultsThenFileThenEnv) {
   const char* saved_file = std::getenv("XBLAS_TUNING_FILE");
   const std::string saved_file_value = saved_file ? saved_file : "";
   for (const char* var : {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
-                          "XBLAS_LU_NB", "XBLAS_THREADS", "XBLAS_SMALL_K"}) {
+                          "XBLAS_LU_NB", "XBLAS_SMALL_K"}) {
     ::unsetenv(var);
   }
 

@@ -1,7 +1,7 @@
 // Randomized cross-implementation conformance suite (ISSUE 4).
 //
 // A seeded sweep over (n ragged/aligned, 3D grid shapes with pz in {1,2,4},
-// block sizes, 1 and 4 BLAS threads) asserting that the communication-
+// block sizes, team widths 1 and 4) asserting that the communication-
 // optimal factorizations and the 2D baselines AGREE: in both precisions,
 //   - conflux_lu / scalapack_lu factors satisfy the normwise backward-error
 //     bound ||PA - LU||_F <= C * n * eps_T * ||A||_F,
@@ -50,7 +50,7 @@ struct ConfCase {
   int pr, pc;      // 2D grid for the baselines
   index_t v;       // conflux block size (multiple of pz)
   index_t nb;      // baseline block size
-  int threads;     // xblas thread count for this case
+  int threads;     // team width for this case
   std::uint64_t seed;
 };
 
@@ -77,18 +77,6 @@ std::vector<ConfCase> sweep() {
       {33, 2, 2, 2, 2, 2, 8, 8, 1, 109},      // tiny ragged corner
   };
 }
-
-/// Scoped override of the xblas thread count.
-class ThreadGuard {
- public:
-  explicit ThreadGuard(int threads) : saved_(xblas::tuning().threads) {
-    xblas::tuning().threads = threads;
-  }
-  ~ThreadGuard() { xblas::tuning().threads = saved_; }
-
- private:
-  int saved_;
-};
 
 /// Componentwise (Oettli-Prager) backward error of A X = B, computed in
 /// fp64: max over entries of |B - A X| ./ (|A| |X| + |B|). fp32 solutions
@@ -141,7 +129,7 @@ constexpr index_t kNrhs = 3;
 
 template <typename T>
 void run_lu_conformance(const ConfCase& p) {
-  ThreadGuard guard(p.threads);
+  const xblas::ScopedThreadCap width(p.threads);
   const MatrixD a64 = random_matrix(p.n, p.n, p.seed);
   const MatrixD b64 = random_matrix(p.n, kNrhs, p.seed + 7);
   Matrix<T> a(p.n, p.n);
@@ -196,7 +184,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LuConformance, ::testing::ValuesIn(sweep()),
 
 template <typename T>
 void run_cholesky_conformance(const ConfCase& p) {
-  ThreadGuard guard(p.threads);
+  const xblas::ScopedThreadCap width(p.threads);
   const MatrixD a64 = random_spd_matrix(p.n, p.seed);
   const MatrixD b64 = random_matrix(p.n, kNrhs, p.seed + 13);
   Matrix<T> a(p.n, p.n);

@@ -5,7 +5,7 @@
 //    pin the tournament to the natural pivot order, so the golden path is
 //    an ordinary blocked right-looking factorization with the schedule's
 //    exact call shapes — including the urgent/lazy Schur split);
-//  - factors are bitwise identical across OMP thread counts, across
+//  - factors are bitwise identical across pool widths, across
 //    replication depths pz, and with lookahead pipelining on vs off (the
 //    task decomposition is fixed; only who-runs-when changes);
 //  - the recorded peak workspace stays near npad^2-scale (LU: trail +
@@ -23,16 +23,13 @@
 
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
+#include "blas/tuning.hpp"
 #include "factor/confchox.hpp"
 #include "factor/conflux_lu.hpp"
 #include "recover/options.hpp"
 #include "recover/snapshot.hpp"
 #include "sched/rank_parallel.hpp"
 #include "tensor/random_matrix.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 // Global allocation counter: the replaceable ordinary operator new/delete
 // pair is overridden for this test binary only, so the steady-state test
@@ -279,25 +276,16 @@ TEST_P(PackedThreads, FactorsBitwiseIdenticalAtOneAndFourThreads) {
   const MatrixD spd = random_spd_matrix(p.n, 53);
   const FactorOptions opt{.block_size = p.v};
 
-  const auto run_both = [&] {
+  const auto run_both = [&](int width) {
+    const xblas::ScopedThreadCap cap(width);
     xsim::Machine mlu = make_machine(g, p.n);
     xsim::Machine mch = make_machine(g, p.n);
     return std::make_pair(conflux_lu(mlu, g, a.view(), opt),
                           confchox(mch, g, spd.view(), opt));
   };
 
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  const auto [lu1, ch1] = run_both();
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  const auto [lu4, ch4] = run_both();
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  const auto [lu1, ch1] = run_both(1);
+  const auto [lu4, ch4] = run_both(4);
 
   EXPECT_EQ(lu1.perm, lu4.perm);
   EXPECT_EQ(lu1.factors, lu4.factors);
@@ -353,19 +341,11 @@ TEST(PackedFp32, FactorsBitwiseIdenticalAcrossThreadsAndReplication) {
   for (const int pz : {1, 2, 4}) {
     for (const int threads : {1, 4}) {
       const grid::Grid3D g(2, 2, pz);
-#ifdef _OPENMP
-      const int saved = omp_get_max_threads();
-      omp_set_num_threads(threads);
-#else
-      (void)threads;
-#endif
+      const xblas::ScopedThreadCap cap(threads);
       xsim::Machine mlu = make_machine(g, n);
       xsim::Machine mch = make_machine(g, n);
       LuResultF lu = conflux_lu(mlu, g, a.view(), FactorOptions{.block_size = v});
       CholResultF ch = confchox(mch, g, spd.view(), FactorOptions{.block_size = v});
-#ifdef _OPENMP
-      omp_set_num_threads(saved);
-#endif
       if (!have_ref) {
         lu_ref = std::move(lu);
         ch_ref = std::move(ch);
@@ -432,12 +412,7 @@ TEST(Lookahead, FactorsBitwiseIdenticalWithLookaheadOnAndOff) {
     for (const int threads : {1, 4}) {
       for (const int lookahead : {0, 1}) {
         const grid::Grid3D g(2, 2, pz);
-#ifdef _OPENMP
-        const int saved = omp_get_max_threads();
-        omp_set_num_threads(threads);
-#else
-        (void)threads;
-#endif
+        const xblas::ScopedThreadCap cap(threads);
         FactorOptions opt;
         opt.block_size = v;
         opt.lookahead = lookahead;
@@ -445,9 +420,6 @@ TEST(Lookahead, FactorsBitwiseIdenticalWithLookaheadOnAndOff) {
         xsim::Machine mch = make_machine(g, n);
         LuResult lu = conflux_lu(mlu, g, a.view(), opt);
         CholResult ch = confchox(mch, g, spd.view(), opt);
-#ifdef _OPENMP
-        omp_set_num_threads(saved);
-#endif
         if (!have_ref) {
           lu_ref = std::move(lu);
           ch_ref = std::move(ch);
@@ -471,7 +443,7 @@ TEST(Recovery, SaveThenRestoreIsBitwiseAcrossConfigurations) {
   // A checkpointed run followed by a resume from its LAST snapshot must
   // reproduce the uninterrupted factors bitwise, in every execution
   // configuration the other invariance tests cover: replication depth,
-  // OMP thread count, and lookahead on/off, for both factor cores. The
+  // pool width, and lookahead on/off, for both factor cores. The
   // interval (4 of 7 tiles) leaves a multi-step tail to re-execute.
   const index_t n = 100, v = 16;
   const MatrixD a = random_matrix(n, n, 107);
@@ -483,12 +455,7 @@ TEST(Recovery, SaveThenRestoreIsBitwiseAcrossConfigurations) {
     for (const int threads : {1, 4}) {
       for (const int lookahead : {0, 1}) {
         const grid::Grid3D g(2, 2, pz);
-#ifdef _OPENMP
-        const int saved = omp_get_max_threads();
-        omp_set_num_threads(threads);
-#else
-        (void)threads;
-#endif
+        const xblas::ScopedThreadCap cap(threads);
         FactorOptions opt;
         opt.block_size = v;
         opt.lookahead = lookahead;
@@ -502,9 +469,6 @@ TEST(Recovery, SaveThenRestoreIsBitwiseAcrossConfigurations) {
         const CholResult ch = confchox(mch, g, spd.view(), opt);
         xsim::Machine mch2 = make_machine(g, n);
         const CholResult ch2 = resume_confchox(mch2, g, spd.view(), opt);
-#ifdef _OPENMP
-        omp_set_num_threads(saved);
-#endif
         EXPECT_EQ(lu.perm, lu2.perm)
             << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
         EXPECT_EQ(lu.factors, lu2.factors)
@@ -589,10 +553,7 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
   // CONFLUX_LOOKAHEAD CI legs cover the pipelined path's correctness).
   const index_t v = 16;
   const grid::Grid3D g(2, 2, 2);
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
+  const xblas::ScopedThreadCap one(1);
   const auto allocs_for = [&](index_t n) {
     const MatrixD a =
         random_dominant_matrix(n, 200 + static_cast<std::uint64_t>(n));
@@ -612,9 +573,6 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
   allocs_for(10 * v);
   const long long steps8 = allocs_for(8 * v);
   const long long steps10 = allocs_for(10 * v);
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
   EXPECT_EQ(steps8, steps10);
 }
 

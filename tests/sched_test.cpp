@@ -11,12 +11,13 @@
 //    test in factor_test
 //  - Chrome-trace export is syntactically valid JSON (checked with a small
 //    JSON parser) carrying the schedules' phase labels
-//  - Real-mode execution is bitwise identical across OpenMP thread counts
+//  - Real-mode execution is bitwise identical across pool widths
 //  - the lookahead time model sits inside the bracket:
 //    elapsed >= modeled >= modeled_lookahead >= overlap on both
 //    factorizations, and lazy-phase deferral never lengthens the raw replay
 //  - the persistent TaskPool: dependency ordering, the single-thread inline
-//    fast path of parallel_ranks, and — with two threads — the real
+//    fast path of parallel_for, a width-1 gemm staying off the pool while
+//    another thread's job is live, and — with two threads — the real
 //    pipelining of a lookahead run, asserted from recorded task slices and
 //    exported as valid Chrome-trace JSON
 #include <gtest/gtest.h>
@@ -35,18 +36,15 @@
 
 #include "baselines/candmc.hpp"
 #include "baselines/scalapack2d.hpp"
+#include "blas/blas.hpp"
+#include "blas/tuning.hpp"
 #include "factor/confchox.hpp"
 #include "factor/conflux_lu.hpp"
 #include "sched/chrome_trace.hpp"
 #include "sched/event.hpp"
-#include "sched/rank_parallel.hpp"
 #include "sched/taskpool.hpp"
 #include "sched/timeline.hpp"
 #include "tensor/random_matrix.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace conflux::sched {
 namespace {
@@ -693,17 +691,13 @@ TEST(TaskPool, FailedTaskCancelsDependents) {
 }
 
 TEST(TaskPool, WatchdogDetectsWedgedPool) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "needs OpenMP to configure a 2-thread pool";
-#else
   // A worker stuck in a task (here: spinning until released) must not hang
   // the blocked master forever: after a full watchdog interval with zero
   // retirements the wait fails fast with kPoolWedged and a task-id dump.
   // The task is Lazy so the helping master cannot pick it up itself and
   // block in its body.
   TaskPool& pool = TaskPool::instance();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(2);
+  const xblas::ScopedThreadCap two(2);
   pool.set_watchdog_seconds(0.2);
   std::atomic<bool> release{false};
   const TaskId wedged = pool.submit(
@@ -729,27 +723,83 @@ TEST(TaskPool, WatchdogDetectsWedgedPool) {
   pool.wait(next);
   EXPECT_TRUE(ok.load());
   pool.set_watchdog_seconds(0.0);  // back to the env/default interval
-  omp_set_num_threads(saved);
-#endif
 }
 
-TEST(RankParallel, SingleChunkAndSingleThreadRunInline) {
-  // The explicit fast path: n == 1, or only one thread configured, executes
-  // on the calling thread with no team machinery at all.
+TEST(TaskPool, SingleChunkAndSingleThreadParallelForRunInline) {
+  // The explicit fast path: n == 1, or width 1, executes on the calling
+  // thread with no team machinery at all.
+  TaskPool& pool = TaskPool::instance();
   const auto self = std::this_thread::get_id();
   std::thread::id ran_on{};
-  sched::parallel_ranks(1, [&](index_t) { ran_on = std::this_thread::get_id(); });
+  pool.parallel_for(1, [&](index_t) { ran_on = std::this_thread::get_id(); });
   EXPECT_EQ(ran_on, self);
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
   std::array<std::thread::id, 4> ids{};
-  sched::parallel_ranks(4, [&](index_t i) {
-    ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
-  });
-  omp_set_num_threads(saved);
+  {
+    const xblas::ScopedThreadCap one(1);
+    pool.parallel_for(4, [&](index_t i) {
+      ids[static_cast<std::size_t>(i)] = std::this_thread::get_id();
+    });
+  }
   for (const auto& id : ids) EXPECT_EQ(id, self);
-#endif
+}
+
+// The solve service's cache-hit path: a width-1 gemm on a thread outside
+// the pool, while another thread's parallel_for is live and has already
+// captured an error, must run inline with the same bits as an idle-pool
+// run and must not pick up (rethrow) the other thread's error.
+TEST(TaskPool, WidthOneGemmStaysOffALiveFailingJob) {
+  TaskPool& pool = TaskPool::instance();
+  const MatrixD a = random_matrix(96, 200, 41);
+  const MatrixD b = random_matrix(200, 300, 42);
+  const auto run_gemm = [&] {
+    MatrixD c(96, 300, 0.0);
+    xblas::gemm(xblas::Trans::None, xblas::Trans::None, 1.0, a.view(),
+                b.view(), 0.0, c.view());
+    return c;
+  };
+  const MatrixD want = run_gemm();
+
+  // Index 0 holds the owner's job open until released; index 1 (on the
+  // other thread of the team) fails, so the pool has a captured error.
+  std::atomic<bool> failed{false};
+  std::atomic<bool> release{false};
+  std::thread owner([&] {
+    const xblas::ScopedThreadCap two(2);
+    try {
+      pool.parallel_for(2, [&](index_t i) {
+        if (i == 1) {
+          failed = true;
+          throw std::runtime_error("owner's job failed");
+        }
+        while (!release.load()) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+      ADD_FAILURE() << "the owner's parallel_for must rethrow its error";
+    } catch (const status_error& e) {
+      EXPECT_EQ(e.code(), StatusCode::kTaskFailed);
+    }
+  });
+  while (!failed.load()) std::this_thread::yield();
+  // The capture follows the throw by microseconds.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  MatrixD got;
+  bool threw = false;
+  const auto self = std::this_thread::get_id();
+  std::thread::id ran_on{};
+  try {
+    const xblas::ScopedThreadCap one(1);
+    got = run_gemm();
+    pool.parallel_for(3, [&](index_t) { ran_on = std::this_thread::get_id(); });
+  } catch (...) {
+    threw = true;
+  }
+  release = true;
+  owner.join();
+  EXPECT_FALSE(threw) << "a width-1 caller must never see another's error";
+  EXPECT_EQ(ran_on, self);
+  EXPECT_EQ(got, want);
 }
 
 // With two threads, a lookahead run must actually pipeline: some step t+1
@@ -757,9 +807,6 @@ TEST(RankParallel, SingleChunkAndSingleThreadRunInline) {
 // wall clock before step t's lazy remainder has finished, and the recorded
 // pool slices export as valid Chrome-trace JSON.
 TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
-#ifndef _OPENMP
-  GTEST_SKIP() << "needs OpenMP to configure a 2-thread pool";
-#else
   const index_t n = 512;
   const grid::Grid3D g(2, 2, 1);
   const MatrixD a = random_matrix(n, n, 101);
@@ -769,8 +816,7 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   const index_t steps = n / opt.block_size;
 
   TaskPool& pool = TaskPool::instance();
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(2);
+  const xblas::ScopedThreadCap two(2);
   // The overlap is a wall-clock property: with both threads time-sliced
   // onto few (or one) physical cores, an unlucky OS schedule can serialize
   // a whole run. Any successful attempt proves the pipeline; retry a few
@@ -807,7 +853,6 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
       overlapped = overlapped || panel_start[i + 1] < lazy_end[i];
     }
   }
-  omp_set_num_threads(saved);
   EXPECT_TRUE(overlapped)
       << "no step t+1 panel task began before step t's lazy gemm ended";
 
@@ -819,10 +864,9 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   EXPECT_NE(json.find("schur-urgent"), std::string::npos);
   EXPECT_NE(json.find("panel-trsm-a10"), std::string::npos);
   EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
-#endif
 }
 
-// -------------------------------------------------- OpenMP determinism ----
+// ---------------------------------------------------- pool determinism ----
 
 TEST(RankParallel, RealModeResultsBitwiseIdenticalAcrossThreadCounts) {
   const index_t n = 128;
@@ -841,20 +885,12 @@ TEST(RankParallel, RealModeResultsBitwiseIdenticalAcrossThreadCounts) {
     return factor::confchox(m, g, spd.view(), opt);
   };
 
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-  omp_set_num_threads(1);
-#endif
-  const factor::LuResult lu1 = run_lu();
-  const factor::CholResult ch1 = run_chol();
-#ifdef _OPENMP
-  omp_set_num_threads(4);
-#endif
-  const factor::LuResult lu4 = run_lu();
-  const factor::CholResult ch4 = run_chol();
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  const auto run_at = [&](int width) {
+    const xblas::ScopedThreadCap cap(width);
+    return std::make_pair(run_lu(), run_chol());
+  };
+  const auto [lu1, ch1] = run_at(1);
+  const auto [lu4, ch4] = run_at(4);
 
   EXPECT_EQ(lu1.perm, lu4.perm);
   EXPECT_EQ(lu1.factors, lu4.factors);
