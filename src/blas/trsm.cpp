@@ -105,20 +105,12 @@ void trsm_lut(Diag diag, ConstMatrixView<T> t, MatrixView<T> b) {
 // rows. Diagonal inverses are hoisted so each row does multiplies only.
 // Per-scalar thread-local inverse-diagonal scratch, persisting across calls
 // so per-step panel solves are allocation-free in steady state (the pool's
-// workers and the master each get their own buffer). Concrete thread_locals
-// behind a traits accessor for the same LeakSanitizer reason as gemm's pack
-// buffers (see gemm.cpp).
-thread_local std::vector<double> tls_inv_d;
-thread_local std::vector<float> tls_inv_f;
+// workers and the master each get their own buffer, like gemm's pack
+// buffers).
 template <typename T>
-std::vector<T>& tls_inv();
-template <>
-std::vector<double>& tls_inv<double>() {
-  return tls_inv_d;
-}
-template <>
-std::vector<float>& tls_inv<float>() {
-  return tls_inv_f;
+std::vector<T>& tls_inv() {
+  thread_local std::vector<T> inv;
+  return inv;
 }
 
 template <typename T>

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <set>
 
+#include "sched/rank_parallel.hpp"
 #include "support/check.hpp"
 
 namespace conflux::factor {
@@ -102,5 +103,68 @@ index_t chunk_offset(index_t total, int parts, int r) {
   expects(total >= 0 && parts >= 1 && r >= 0 && r <= parts, "bad chunk split");
   return total * static_cast<index_t>(r) / static_cast<index_t>(parts);
 }
+
+template <typename T>
+double fill_workspace(ConstMatrixView<T> a, index_t npad, bool lower,
+                      Matrix<T>& w, Matrix<T>* zero) {
+  const index_t n = a.rows();
+  expects(a.cols() == n && npad >= n, "workspace must cover the square input");
+  const auto reshape = [npad](Matrix<T>& m) {
+    if (m.rows() == npad && m.cols() == npad) return;
+    m = Matrix<T>();  // release first: the old and new buffers never coexist
+    m = Matrix<T>(npad, npad, uninitialized);
+  };
+  reshape(w);
+  if (zero != nullptr) reshape(*zero);
+  // One scan per row block, each written only by that block's task.
+  std::vector<MagnitudeScan> scans(
+      static_cast<std::size_t>(sched::num_row_blocks(npad)));
+  sched::parallel_rows(npad, [&](index_t i) {
+    T* row = w.data() + i * npad;
+    index_t copied = 0;
+    if (i < n) {
+      copied = lower ? i + 1 : n;
+      std::copy(a.row(i), a.row(i) + copied, row);
+      scans[static_cast<std::size_t>(i / sched::kRowBlock)].add(a.row(i), copied);
+    }
+    std::fill(row + copied, row + npad, T{});
+    if (i >= n) row[i] = T{1};
+    if (zero != nullptr) {
+      T* zrow = zero->data() + i * npad;
+      std::fill(zrow, zrow + npad, T{});
+    }
+  });
+  MagnitudeScan total;
+  for (const MagnitudeScan& s : scans) total.merge(s);
+  if (!total.finite) {
+    throw status_error(
+        Status(StatusCode::kNonFinite, "input matrix contains a non-finite value"));
+  }
+  return total.amax;
+}
+
+template <typename T>
+Matrix<T> hand_off_factors(Matrix<T>&& buf, index_t n) {
+  expects(buf.rows() >= n && buf.cols() >= n, "factor buffer smaller than n");
+  Matrix<T> out;
+  if (buf.rows() == n && buf.cols() == n) {
+    out = std::move(buf);
+  } else {
+    out = Matrix<T>(n, n, uninitialized);
+    sched::parallel_rows(n, [&](index_t i) {
+      const T* src = buf.data() + i * buf.cols();
+      std::copy(src, src + n, out.data() + i * n);
+    });
+  }
+  buf = Matrix<T>();
+  return out;
+}
+
+template double fill_workspace<float>(ConstMatrixView<float>, index_t, bool,
+                                      Matrix<float>&, Matrix<float>*);
+template double fill_workspace<double>(ConstMatrixView<double>, index_t, bool,
+                                       Matrix<double>&, Matrix<double>*);
+template Matrix<float> hand_off_factors<float>(Matrix<float>&&, index_t);
+template Matrix<double> hand_off_factors<double>(Matrix<double>&&, index_t);
 
 }  // namespace conflux::factor

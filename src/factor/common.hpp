@@ -3,6 +3,7 @@
 // row-masking pivot strategy (Section 7.3).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -106,7 +107,9 @@ struct LuResultT {
   /// input row perm[i] (A[perm, :] = L U).
   std::vector<index_t> perm;
   /// Real mode: the in-place factors of A[perm, :] (unit-lower L below the
-  /// diagonal, U on and above).
+  /// diagonal, U on and above), exactly n x n. The run gathers them into
+  /// its trailing workspace's buffer, which the result then takes over
+  /// (hand_off_factors) — no separate result allocation.
   Matrix<T> factors;
   std::vector<StepCosts> step_costs;
   /// Real mode: peak resident size of the factorization's host-side data
@@ -119,8 +122,9 @@ struct LuResultT {
 
   /// 8-byte words this handle keeps resident after the factorization
   /// returned (factor store + permutation) — what a factorization cache
-  /// must budget per retained entry. Distinct from workspace_words, the
-  /// transient peak DURING the run.
+  /// must budget per retained entry. Exact: the hand-off compacts a padded
+  /// buffer, so `factors` holds n^2 scalars and nothing more. Distinct from
+  /// workspace_words, the transient peak DURING the run.
   double resident_words() const {
     return static_cast<double>(factors.size()) * words_per_scalar<T>() +
            static_cast<double>(perm.size()) *
@@ -134,7 +138,10 @@ using LuResultF = LuResultT<float>;
 /// Cholesky result (no pivoting).
 template <typename T>
 struct CholResultT {
-  /// Real mode: lower-triangular L with A = L L^T (upper triangle zero).
+  /// Real mode: lower-triangular L with A = L L^T (upper triangle zero),
+  /// exactly n x n. This is the run's own factor buffer, taken over
+  /// (hand_off_factors) rather than copied: nothing writes above its
+  /// diagonal, so the set-up pass's zeros are the upper triangle.
   Matrix<T> factors;
   std::vector<StepCosts> step_costs;
   /// Real mode: peak resident 8-byte words of the data path (see LuResultT).
@@ -150,6 +157,51 @@ struct CholResultT {
 
 using CholResult = CholResultT<double>;
 using CholResultF = CholResultT<float>;
+
+/// Read-only magnitude scan, accumulated over contiguous runs of values:
+/// max |x| and whether every value was finite. Max is exact, so chunk scans
+/// merged in any order reproduce a serial scan bitwise; parallel passes
+/// keep one scan per chunk and merge them on the calling thread.
+struct MagnitudeScan {
+  double amax = 0.0;
+  bool finite = true;
+
+  template <typename T>
+  void add(const T* x, index_t count) {
+    for (index_t j = 0; j < count; ++j) {
+      const double d = std::abs(static_cast<double>(x[j]));
+      if (!std::isfinite(d)) finite = false;
+      if (d > amax) amax = d;
+    }
+  }
+  void merge(const MagnitudeScan& other) {
+    finite = finite && other.finite;
+    if (other.amax > amax) amax = other.amax;
+  }
+};
+
+/// Parallel first-touch set-up of a factor core's packed workspace
+/// (DESIGN.md "Packed trailing workspace"): one TaskPool::parallel_for over
+/// kRowBlock row blocks writes every element of the npad x npad `w` — the
+/// n x n input `a` (only its lower triangle when `lower`), zeros elsewhere,
+/// and 1 on the padding diagonal — and zero-fills `zero` (same shape;
+/// optional) in the same pass. `w` and `zero` are allocated uninitialized
+/// unless they already have that shape, so the pool's workers are the first
+/// to touch their pages. Each block scans its copied input for non-finite
+/// values and keeps its own max|a|; the calling thread reduces the block
+/// maxima (max is exact, so the result does not depend on the width) and
+/// returns max|a|, or throws kNonFinite after the loop — never from inside
+/// the pool. The caller's `a` is only read.
+template <typename T>
+double fill_workspace(ConstMatrixView<T> a, index_t npad, bool lower,
+                      Matrix<T>& w, Matrix<T>* zero = nullptr);
+
+/// Hand a finished factor buffer (its leading n x n block holds the
+/// factors) to a result: moved as is when it is already n x n, otherwise
+/// compacted into an exact n x n matrix by a parallel row-block copy, so
+/// the result keeps exactly the n^2 scalars resident_words() reports.
+template <typename T>
+Matrix<T> hand_off_factors(Matrix<T>&& buf, index_t n);
 
 /// Pick the block size: v = a * c for a small constant a (Section 7.2 uses
 /// hardware-tuned multiples; we default to the largest of 2c and 64, rounded

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <limits>
 
@@ -60,10 +61,10 @@ enum WsSlot : std::size_t { kA00 = 0 };
 /// trailing workspace at step t is simply the block (t*v.., t*v..) — already
 /// contiguous, no row index map needed — and everything to its left IS the
 /// finished factor: the panel trsm solves in place and its output never
-/// moves again. The pz layered partial sums of the simulated machine are
-/// realized inside gemm/syrk's fixed k-order (one beta=1 update with k = v
-/// accumulates the k-slices in ascending z), so per-layer buffers never
-/// exist.
+/// moves again; after the loop the buffer itself becomes the result. The
+/// pz layered partial sums of the simulated machine are realized inside
+/// gemm/syrk's fixed k-order (one beta=1 update with k = v accumulates the
+/// k-slices in ascending z), so per-layer buffers never exist.
 ///
 /// Execution (DESIGN.md "Pipelined execution"): each fixed kRowBlock row
 /// block of the symmetric Schur update is split into an URGENT piece (its
@@ -179,13 +180,18 @@ void save_chol_snapshot(CholRun<T>& run, index_t t) {
   w.put_i64(run.health.near_singular_pivots);
   w.put_f64(run.health.growth_factor);
   w.put_f64(run.health.min_pivot);
-  // Only the lower triangle (diagonal included): init_state never fills the
+  // Only the lower triangle (diagonal included): init_state zeroes the
   // strict upper triangle and no phase of the factorization reads or writes
   // it, so restoring the lower rows onto a freshly initialized `fac` is
-  // bitwise complete — at half the serialization volume.
-  for (index_t r = 0; r < run.npad; ++r) {
-    w.put_bytes(&run.fac(r, 0), static_cast<std::size_t>(r + 1) * sizeof(T));
-  }
+  // bitwise complete — at half the serialization volume. Row r lands at
+  // element offset r(r+1)/2, so the rows are copied in parallel.
+  const auto npad = static_cast<std::size_t>(run.npad);
+  std::uint8_t* tri = w.put_space(npad * (npad + 1) / 2 * sizeof(T));
+  sched::parallel_rows(run.npad, [&](index_t r) {
+    const auto ri = static_cast<std::size_t>(r);
+    std::memcpy(tri + ri * (ri + 1) / 2 * sizeof(T), &run.fac(r, 0),
+                (ri + 1) * sizeof(T));
+  });
   recover::store_blob(chol_snapshot_key(run), std::move(w).seal());
 }
 
@@ -246,25 +252,28 @@ void init_chol_abft(CholRun<T>& run, index_t t) {
   run.abft_sum.assign(static_cast<std::size_t>(run.npad), 0.0);
   run.abft_panel.assign(static_cast<std::size_t>(run.npad), 0.0);
   run.abft_cum.assign(static_cast<std::size_t>(run.v), 0.0);
+  // Row-parallel (sched::parallel_rows): each row is still summed by one
+  // task in column order, so the predictions keep their bits at any width.
   const index_t col0 = t * run.v;
-  for (index_t r = col0; r < run.npad; ++r) {
+  sched::parallel_rows(run.npad - col0, [&](index_t p) {
+    const index_t r = col0 + p;
     double s = 0.0;
     for (index_t j = col0; j <= r; ++j) {
       s += static_cast<double>(run.fac(r, j));
     }
     run.abft_sum[static_cast<std::size_t>(r)] = s;
-  }
+  });
 }
 
 template <typename T>
 void capture_chol_abft_panel(CholRun<T>& run, index_t t) {
-  const index_t col0 = t * run.v;
-  for (index_t r = col0 + run.v; r < run.npad; ++r) {
-    const T* row = &run.fac(r, col0);
+  const index_t first = (t + 1) * run.v;
+  sched::parallel_rows(run.npad - first, [&](index_t p) {
+    const T* row = &run.fac(first + p, t * run.v);
     double s = 0.0;
     for (index_t j = 0; j < run.v; ++j) s += static_cast<double>(row[j]);
-    run.abft_panel[static_cast<std::size_t>(r)] = s;
-  }
+    run.abft_panel[static_cast<std::size_t>(first + p)] = s;
+  });
 }
 
 /// Roll the predicted sums forward across this step's Schur update. Must run
@@ -790,26 +799,15 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   // last resort when ABFT detects corruption and no checkpoint exists — the
   // caller's view of `a` is untouched by the run.
   const auto init_state = [&] {
-    run.amax = 0.0;
     run.health = FactorHealth{};
     run.health.min_pivot = std::numeric_limits<double>::infinity();
-    run.fac = Matrix<T>(npad, npad, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j <= i; ++j) {
-        const T val = a(i, j);
-        if (!std::isfinite(static_cast<double>(val))) {
-          throw status_error(Status(
-              StatusCode::kNonFinite, "input matrix contains a non-finite value"));
-        }
-        const double d = std::abs(static_cast<double>(val));
-        if (d > run.amax) run.amax = d;
-        run.fac(i, j) = val;
-      }
-    }
-    for (index_t r = n; r < npad; ++r) run.fac(r, r) = T{1};
+    // One parallel first-touch pass writes all of fac; only the input's
+    // lower triangle is read, the upper triangle is zero from here on.
+    run.amax = fill_workspace<T>(a, npad, /*lower=*/true, run.fac);
   };
 
   if (run.real) {
+    prof::ScopedSpan span("factor-setup");
     expects(a.rows() == n && a.cols() == n, "matrix must be square");
     run.pivot_tol = opt.pivot_tolerance;
     init_state();
@@ -933,13 +931,13 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   }
 
   if (run.real) {
-    result.factors = Matrix<T>(n, n, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j <= i; ++j) result.factors(i, j) = run.fac(i, j);
-    }
+    prof::ScopedSpan span("factor-handoff");
     result.workspace_words =
         static_cast<double>(run.fac.size()) * words_per_scalar<T>() +
         run.ws.words();
+    // fac's upper triangle is still the zeros of the set-up pass (nothing
+    // writes above the diagonal), so its buffer IS the result.
+    result.factors = hand_off_factors(std::move(run.fac), n);
     if (!std::isfinite(run.health.min_pivot)) run.health.min_pivot = 0.0;
     result.health = run.health;
   }

@@ -5,6 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <limits>
 #include <utility>
@@ -193,7 +194,9 @@ enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
 ///     k = v, realizing the pz k-slices in ascending z exactly as an
 ///     ordered layer reduction would, so the per-layer buffers never exist.
 ///   - `lstore`, the final factors keyed by global row (Section 7.3's row
-///     masking writes results in place, never moving rows).
+///     masking writes results in place, never moving rows). After the step
+///     loop its rows are gathered in pivot order into `trail`, whose
+///     buffer becomes the result (DESIGN.md "Packed trailing workspace").
 /// Eliminated rows retire once per step by swapping the tail row into their
 /// slot; with lookahead the retirement is split into an urgent pass (the
 /// next panel's columns, unblocked by the previous step's urgent stripe)
@@ -246,6 +249,7 @@ struct LuRun {
   // resolved once from FactorOptions.
   double amax = 0.0;  // max|A| over the (finite) input
   double umax = 0.0;  // running max|U| over factored pivot rows
+  std::vector<MagnitudeScan> uscan;  // per-A01-chunk U scans, one per rank
   double pivot_tol = 0.0;
   double growth_lim = 0.0;
   FactorHealth health;
@@ -397,22 +401,30 @@ void save_lu_snapshot(LuRun<T>& run, index_t t,
   w.put_indices(run.rowmap);
   w.put_indices(run.rowpos);
   // Trailing accumulator: only the live region (packed rows 0..nact, columns
-  // t*v..npad) is ever read again.
+  // t*v..npad) is ever read again. Rows are copied in parallel into their
+  // fixed places in the payload (the byte order is the serial one).
   const index_t col0 = t * run.v;
   const auto live_bytes = static_cast<std::size_t>(run.npad - col0) * sizeof(T);
-  for (index_t i = 0; i < run.nact; ++i) {
-    w.put_bytes(&run.trail(i, col0), live_bytes);
-  }
+  std::uint8_t* live = w.put_space(static_cast<std::size_t>(run.nact) * live_bytes);
+  sched::parallel_rows(run.nact, [&](index_t i) {
+    std::memcpy(live + static_cast<std::size_t>(i) * live_bytes, &run.trail(i, col0),
+                live_bytes);
+  });
   // Factor store: an eliminated row (rowpos < 0) carries its full final row
   // (L left of its pivot block, U from it rightwards); a surviving row has
   // only its first t*v columns written (the L panels of past steps).
+  std::vector<std::size_t> offset(static_cast<std::size_t>(run.npad) + 1, 0);
   for (index_t r = 0; r < run.npad; ++r) {
     const bool eliminated = run.rowpos[static_cast<std::size_t>(r)] < 0;
     const index_t cols = eliminated ? run.npad : col0;
-    if (cols > 0) {
-      w.put_bytes(&run.lstore(r, 0), static_cast<std::size_t>(cols) * sizeof(T));
-    }
+    offset[static_cast<std::size_t>(r) + 1] =
+        offset[static_cast<std::size_t>(r)] + static_cast<std::size_t>(cols) * sizeof(T);
   }
+  std::uint8_t* store = w.put_space(offset.back());
+  sched::parallel_rows(run.npad, [&](index_t r) {
+    const auto ri = static_cast<std::size_t>(r);
+    std::memcpy(store + offset[ri], &run.lstore(r, 0), offset[ri + 1] - offset[ri]);
+  });
   recover::store_blob(lu_snapshot_key(run), std::move(w).seal());
 }
 
@@ -518,6 +530,10 @@ index_t restore_lu_snapshot(LuRun<T>& run, std::vector<index_t>& perm_pad) {
 // of trail -= A10_solved * U_panel restricted to row sums.
 // ---------------------------------------------------------------------------
 
+// The per-row passes below run as sched::parallel_rows: each row's sum is
+// still accumulated by one task in column order, so the predictions are
+// the same bits at any width.
+
 template <typename T>
 void init_abft_sums(LuRun<T>& run, index_t t) {
   run.abft_sum.assign(static_cast<std::size_t>(run.npad), 0.0);
@@ -525,23 +541,23 @@ void init_abft_sums(LuRun<T>& run, index_t t) {
   run.abft_urow.assign(static_cast<std::size_t>(run.v), 0.0);
   const index_t col0 = t * run.v;
   const index_t width = run.npad - col0;
-  for (index_t i = 0; i < run.nact; ++i) {
+  sched::parallel_rows(run.nact, [&](index_t i) {
     const T* row = &run.trail(i, col0);
     double s = 0.0;
     for (index_t j = 0; j < width; ++j) s += static_cast<double>(row[j]);
     run.abft_sum[static_cast<std::size_t>(i)] = s;
-  }
+  });
 }
 
 template <typename T>
 void capture_abft_panel(LuRun<T>& run, index_t t) {
   const index_t col0 = t * run.v;
-  for (index_t i = 0; i < run.nact; ++i) {
+  sched::parallel_rows(run.nact, [&](index_t i) {
     const T* row = &run.trail(i, col0);
     double s = 0.0;
     for (index_t j = 0; j < run.v; ++j) s += static_cast<double>(row[j]);
     run.abft_panel[static_cast<std::size_t>(i)] = s;
-  }
+  });
 }
 
 /// Roll the predicted sums forward across this step's Schur update. Must run
@@ -552,14 +568,14 @@ template <typename T>
 void apply_abft_update(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows,
                        index_t ncols) {
   if (ncols <= 0) return;
-  for (index_t k = 0; k < run.v; ++k) {
+  sched::TaskPool::instance().parallel_for(run.v, [&](index_t k) {
     const T* row = pivotrows.row(k);
     double s = 0.0;
     for (index_t j = 0; j < ncols; ++j) s += static_cast<double>(row[j]);
     run.abft_urow[static_cast<std::size_t>(k)] = s;
-  }
+  });
   const index_t col0 = t * run.v;
-  for (index_t i = 0; i < run.nact; ++i) {
+  sched::parallel_rows(run.nact, [&](index_t i) {
     const T* a10row = &run.trail(i, col0);
     double upd = 0.0;
     for (index_t k = 0; k < run.v; ++k) {
@@ -568,7 +584,7 @@ void apply_abft_update(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows,
     }
     run.abft_sum[static_cast<std::size_t>(i)] -=
         run.abft_panel[static_cast<std::size_t>(i)] + upd;
-  }
+  });
 }
 
 /// Read-only verification of the invariant. The tolerance is deliberately
@@ -1173,25 +1189,11 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   // rollback of last resort when ABFT detects corruption and no checkpoint
   // exists — the caller's view of `a` is untouched by the run.
   const auto init_packed_state = [&] {
-    run.amax = 0.0;
     run.umax = 0.0;
     run.health = FactorHealth{};
     run.health.min_pivot = std::numeric_limits<double>::infinity();
-    run.trail = Matrix<T>(npad, npad, T{});
-    for (index_t i = 0; i < n; ++i) {
-      for (index_t j = 0; j < n; ++j) {
-        const T val = a(i, j);
-        if (!std::isfinite(static_cast<double>(val))) {
-          throw status_error(Status(
-              StatusCode::kNonFinite, "input matrix contains a non-finite value"));
-        }
-        const double d = std::abs(static_cast<double>(val));
-        if (d > run.amax) run.amax = d;
-        run.trail(i, j) = val;
-      }
-    }
-    for (index_t r = n; r < npad; ++r) run.trail(r, r) = T{1};
-    run.lstore = Matrix<T>(npad, npad, T{});
+    // One parallel first-touch pass writes all of trail and lstore.
+    run.amax = fill_workspace<T>(a, npad, /*lower=*/false, run.trail, &run.lstore);
     run.nact = npad;
     run.rowmap.resize(static_cast<std::size_t>(npad));
     run.rowpos.resize(static_cast<std::size_t>(npad));
@@ -1204,6 +1206,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   };
 
   if (run.real) {
+    prof::ScopedSpan span("factor-setup");
     expects(a.rows() == n && a.cols() == n, "matrix must be square");
     run.pivot_tol = opt.pivot_tolerance;
     run.growth_lim =
@@ -1242,6 +1245,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     s.mperm.reserve(static_cast<std::size_t>(2 * v));
     s.fipiv.reserve(static_cast<std::size_t>(v));
     s.fperm.reserve(static_cast<std::size_t>(v));
+    run.uscan.resize(static_cast<std::size_t>(m.ranks()));
   }
   run.pivots_per_x.assign(static_cast<std::size_t>(g.px()), 0);
 
@@ -1455,13 +1459,19 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
           pool.parallel_for(p, a10_chunk);
         }
         if (ncols > 0) {
-          // A01 <- L00^{-1} * A01: final U rows of the pivots.
+          // A01 <- L00^{-1} * A01: final U rows of the pivots. Each chunk
+          // then scans its solved columns read-only (non-finite flag and
+          // max|U| for the growth factor) while they are still in cache.
           pool.parallel_for(p, [&](index_t r) {
             const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
             const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
-            if (cnt == 0) return;
-            xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
-                           T{1}, run.a00.view(), pivotrows.block(0, lo, v, cnt));
+            MagnitudeScan scan;
+            if (cnt > 0) {
+              xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
+                             T{1}, run.a00.view(), pivotrows.block(0, lo, v, cnt));
+              for (index_t l = 0; l < v; ++l) scan.add(pivotrows.row(l) + lo, cnt);
+            }
+            run.uscan[static_cast<std::size_t>(r)] = scan;
           });
           pool.parallel_for(v, [&](index_t l) {
             const index_t row = run.winners[static_cast<std::size_t>(l)];
@@ -1474,23 +1484,16 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
               (4.0 * static_cast<double>(v) * static_cast<double>(ncols) +
                static_cast<double>(v) * static_cast<double>(v)) *
               static_cast<double>(sizeof(T)));
-          // Read-only scan of the factored U rows: hard error on a
+          // Reduce the chunk scans on the master: hard error on a
           // non-finite value, running max|U| for the growth factor.
-          double rowmax = 0.0;
-          for (index_t l = 0; l < v; ++l) {
-            const T* urow = pivotrows.row(l);
-            for (index_t j = 0; j < ncols; ++j) {
-              const double d = std::abs(static_cast<double>(urow[j]));
-              if (!std::isfinite(d)) {
-                throw status_error(Status(
-                    StatusCode::kNonFinite,
-                    "non-finite value in the factored pivot rows",
-                    static_cast<long long>(t)));
-              }
-              if (d > rowmax) rowmax = d;
-            }
+          MagnitudeScan uscan;
+          for (const MagnitudeScan& c : run.uscan) uscan.merge(c);
+          if (!uscan.finite) {
+            throw status_error(Status(StatusCode::kNonFinite,
+                                      "non-finite value in the factored pivot rows",
+                                      static_cast<long long>(t)));
           }
-          if (rowmax > run.umax) run.umax = rowmax;
+          if (uscan.amax > run.umax) run.umax = uscan.amax;
         }
       }
       m.step_barrier();
@@ -1550,18 +1553,23 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   }
   check(static_cast<index_t>(result.perm.size()) == n, "permutation must cover all rows");
   if (run.real) {
+    prof::ScopedSpan span("factor-handoff");
     check(std::all_of(perm_pad.begin(), perm_pad.begin() + n,
                       [&](index_t r) { return r < n; }),
           "real rows must be eliminated before padding rows");
-    result.factors = Matrix<T>(n, n);
-    for (index_t i = 0; i < n; ++i) {
-      const index_t row = result.perm[static_cast<std::size_t>(i)];
-      for (index_t j = 0; j < n; ++j) result.factors(i, j) = run.lstore(row, j);
-    }
     result.workspace_words =
         (static_cast<double>(run.trail.size()) +
          static_cast<double>(run.lstore.size())) * words_per_scalar<T>() +
         run.ws.words();
+    // trail is dead after the step loop: gather the factor rows into its
+    // leading rows in output order, drop lstore, and hand trail's buffer
+    // to the result.
+    sched::parallel_rows(n, [&](index_t i) {
+      const T* src = &run.lstore(result.perm[static_cast<std::size_t>(i)], 0);
+      std::copy(src, src + n, &run.trail(i, 0));
+    });
+    run.lstore = Matrix<T>();
+    result.factors = hand_off_factors(std::move(run.trail), n);
     run.health.growth_factor = run.amax > 0.0 ? run.umax / run.amax : 0.0;
     if (!std::isfinite(run.health.min_pivot)) run.health.min_pivot = 0.0;
     result.health = run.health;

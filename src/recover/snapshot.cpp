@@ -38,11 +38,25 @@ std::uint64_t digest_range(const std::uint8_t* data, std::size_t bytes) {
   std::uint64_t lanes[4] = {kLaneInit[0], kLaneInit[1], kLaneInit[2],
                             kLaneInit[3]};
   std::size_t i = 0;
-  std::uint64_t word_ix = 0;
-  for (; i + 8 <= bytes; i += 8, ++word_ix) {
+  // Whole 4-word groups with the lanes in named registers: indexing the
+  // lane array by word number kept it in memory, one store-to-load round
+  // trip per word, which made the checksum the larger half of a save.
+  std::uint64_t l0 = lanes[0], l1 = lanes[1], l2 = lanes[2], l3 = lanes[3];
+  for (; i + 32 <= bytes; i += 32) {
+    std::uint64_t w[4];
+    std::memcpy(w, data + i, 32);
+    l0 = (l0 ^ w[0]) * kFnvPrime;
+    l1 = (l1 ^ w[1]) * kFnvPrime;
+    l2 = (l2 ^ w[2]) * kFnvPrime;
+    l3 = (l3 ^ w[3]) * kFnvPrime;
+  }
+  lanes[0] = l0;
+  lanes[1] = l1;
+  lanes[2] = l2;
+  lanes[3] = l3;
+  for (std::size_t l = 0; i + 8 <= bytes; i += 8, ++l) {
     std::uint64_t w;
     std::memcpy(&w, data + i, 8);
-    const auto l = static_cast<std::size_t>(word_ix & 3);
     lanes[l] = (lanes[l] ^ w) * kFnvPrime;
   }
   std::uint64_t h = lanes[0];
@@ -206,6 +220,12 @@ void SnapshotWriter::put_f64(double value) { put_bytes(&value, sizeof(value)); }
 void SnapshotWriter::put_bytes(const void* data, std::size_t bytes) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   blob_.insert(blob_.end(), p, p + bytes);
+}
+
+std::uint8_t* SnapshotWriter::put_space(std::size_t bytes) {
+  const std::size_t offset = blob_.size();
+  blob_.resize(offset + bytes);
+  return blob_.data() + offset;
 }
 
 void SnapshotWriter::put_indices(const std::vector<index_t>& values) {

@@ -34,7 +34,9 @@
 
 namespace conflux::recover {
 
-using Blob = std::vector<std::uint8_t>;
+/// Default-initializing allocator: SnapshotWriter::put_space grows the blob
+/// without a serial zero-fill, so parallel row copies fault its pages in.
+using Blob = std::vector<std::uint8_t, DefaultInitAllocator<std::uint8_t>>;
 
 enum class FactorKind : std::uint8_t {
   kLu = 1,
@@ -67,6 +69,10 @@ class SnapshotWriter {
   void put_i64(std::int64_t value);
   void put_f64(double value);
   void put_bytes(const void* data, std::size_t bytes);
+  /// Append `bytes` of unwritten payload and return where it starts. The
+  /// caller writes all of it, possibly from several threads, before the
+  /// next put_* or seal(); bulk rows then need no serial copy.
+  std::uint8_t* put_space(std::size_t bytes);
   /// Length-prefixed raw dump of an index vector.
   void put_indices(const std::vector<index_t>& values);
 

@@ -12,6 +12,9 @@
 // Threads then only change *who* executes a task, not what it computes.
 #pragma once
 
+#include <algorithm>
+
+#include "sched/taskpool.hpp"
 #include "tensor/matrix.hpp"
 
 namespace conflux::sched {
@@ -23,6 +26,17 @@ inline constexpr index_t kRowBlock = 128;
 
 inline index_t num_row_blocks(index_t rows) {
   return rows > 0 ? (rows + kRowBlock - 1) / kRowBlock : 0;
+}
+
+/// Run row(i) for every i in [0, rows) on the task pool: one task per fixed
+/// kRowBlock row block, rows in ascending order inside it. A per-row result
+/// computed by one call is therefore the same bits at any width.
+template <typename Row>
+void parallel_rows(index_t rows, Row&& row) {
+  TaskPool::instance().parallel_for(num_row_blocks(rows), [&](index_t blk) {
+    const index_t end = std::min(rows, (blk + 1) * kRowBlock);
+    for (index_t i = blk * kRowBlock; i < end; ++i) row(i);
+  });
 }
 
 }  // namespace conflux::sched

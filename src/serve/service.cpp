@@ -457,6 +457,16 @@ SolveService::Stats SolveService::stats() const {
   return s;
 }
 
+void SolveService::set_execute_hook(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(mu_);
+  execute_hook_ = std::move(hook);
+}
+
+bool SolveService::stopping() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return stopping_;
+}
+
 auto SolveService::pop_next() -> std::shared_ptr<RequestState> {
   std::unique_lock<std::mutex> lock(mu_);
   work_cv_.wait(lock, [&] {
@@ -483,6 +493,7 @@ void SolveService::executor_main() {
   for (;;) {
     auto rs = pop_next();
     if (rs == nullptr) return;
+    if (execute_hook_) execute_hook_();
     if (rs->token.cancelled()) {
       SolveResponse resp;
       resp.tenant = rs->req.tenant;

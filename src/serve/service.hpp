@@ -35,6 +35,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -190,6 +191,13 @@ class SolveService {
   FactorCache& cache() { return cache_; }
   const ServiceOptions& options() const { return opt_; }
 
+  /// Test seam: `hook` runs on the executor thread after a request left the
+  /// queue and before it executes, so a test can hold an executor busy at a
+  /// known point. Set it before the first submit.
+  void set_execute_hook(std::function<void()> hook);
+  /// True once the destructor has begun stopping the executors.
+  bool stopping() const;
+
  private:
   using Clock = std::chrono::steady_clock;
   using RequestState = Ticket::RequestState;
@@ -205,6 +213,7 @@ class SolveService {
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
   bool stopping_ = false;
+  std::function<void()> execute_hook_;
   std::deque<std::shared_ptr<RequestState>> queues_[kPriorityClasses];
   Stats stats_;
 

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,26 @@ class MatrixView;
 template <typename T>
 class ConstMatrixView;
 
+/// Tag for Matrix's uninitialized-storage constructor.
+struct Uninitialized {};
+inline constexpr Uninitialized uninitialized{};
+
+/// std::allocator whose value-less construct() default-initializes: for a
+/// scalar T the elements are left unwritten, so a fresh large buffer stays
+/// untouched (no page is faulted in) until its first real write.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (sizeof...(Args) == 0) {
+      ::new (static_cast<void*>(p)) U;
+    } else {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  }
+};
+
 /// Owning dense matrix, row-major, contiguous (leading dimension == cols).
 template <typename T>
 class Matrix {
@@ -27,9 +49,13 @@ class Matrix {
   Matrix() = default;
 
   Matrix(index_t rows, index_t cols, T fill = T{})
-      : rows_(rows), cols_(cols), data_(static_cast<std::size_t>(rows * cols), fill) {
-    expects(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
-  }
+      : rows_(rows), cols_(cols), data_(checked_count(rows, cols), fill) {}
+
+  /// Storage with indeterminate contents. Only for a buffer that a parallel
+  /// pass writes in full before anything reads it: the pass's workers then
+  /// fault the pages in (first touch), instead of a serial zero-fill.
+  Matrix(index_t rows, index_t cols, Uninitialized)
+      : rows_(rows), cols_(cols), data_(checked_count(rows, cols)) {}
 
   index_t rows() const { return rows_; }
   index_t cols() const { return cols_; }
@@ -58,9 +84,14 @@ class Matrix {
   }
 
  private:
+  static std::size_t checked_count(index_t rows, index_t cols) {
+    expects(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
+    return static_cast<std::size_t>(rows * cols);
+  }
+
   index_t rows_ = 0;
   index_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 /// Non-owning mutable view with an explicit leading dimension (row stride).

@@ -18,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <new>
 
 #include "blas/blas.hpp"
@@ -31,26 +34,40 @@
 #include "sched/rank_parallel.hpp"
 #include "tensor/random_matrix.hpp"
 
-// Global allocation counter: the replaceable ordinary operator new/delete
+// Global allocation ledger: the replaceable ordinary operator new/delete
 // pair is overridden for this test binary only, so the steady-state test
 // below can assert that a factorization's allocation count is independent
-// of its step count. (The default array and nothrow forms forward to the
+// of its step count, and the hand-off test can weigh the storage a result
+// keeps. Each block carries its size in a header that keeps the default
+// new alignment. (The default array and nothrow forms forward to the
 // ordinary form, so counting here covers them too.)
 namespace {
 std::atomic<long long> g_alloc_count{0};
+std::atomic<long long> g_live_bytes{0};
+constexpr std::size_t kAllocHeader = 16;
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size ? size : 1);
+  void* p = std::malloc(size + kAllocHeader);
   if (p == nullptr) throw std::bad_alloc();
-  return p;
+  *static_cast<std::size_t*>(p) = size;
+  g_live_bytes.fetch_add(static_cast<long long>(size), std::memory_order_relaxed);
+  return static_cast<char*>(p) + kAllocHeader;
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept {
+  if (p == nullptr) return;
+  // Integer arithmetic: the block starts before the pointer new returned.
+  void* base =
+      reinterpret_cast<void*>(reinterpret_cast<std::uintptr_t>(p) - kAllocHeader);
+  g_live_bytes.fetch_sub(static_cast<long long>(*static_cast<std::size_t*>(base)),
+                         std::memory_order_relaxed);
+  std::free(base);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace conflux::factor {
 namespace {
@@ -574,6 +591,138 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
   const long long steps8 = allocs_for(8 * v);
   const long long steps10 = allocs_for(10 * v);
   EXPECT_EQ(steps8, steps10);
+}
+
+// ------------------------------------------ set-up and factor hand-off ----
+// The set-up pass writes the whole workspace in parallel row blocks, and the
+// finished buffer becomes the result: moved when npad == n, compacted when
+// npad > n. Both shapes, both cores, both widths must keep the goldens.
+
+TEST(PackedHandoff, FactorsMatchGoldensOnMoveAndCompactionShapes) {
+  const index_t v = 16;
+  const grid::Grid3D g(2, 2, 2);
+  for (const index_t n : {6 * v, 6 * v - 1}) {
+    const MatrixD a = random_dominant_matrix(n, 300 + static_cast<std::uint64_t>(n));
+    const MatrixD spd = random_spd_matrix(n, 400 + static_cast<std::uint64_t>(n));
+    const MatrixD want_lu = golden_lu(a, n, v, g.ranks());
+    const MatrixD want_ch = golden_chol(spd, n, v, g.ranks());
+    for (const int width : {1, 4}) {
+      const xblas::ScopedThreadCap cap(width);
+      xsim::Machine mlu = make_machine(g, n);
+      xsim::Machine mch = make_machine(g, n);
+      const LuResult lu = conflux_lu(mlu, g, a.view(), FactorOptions{.block_size = v});
+      const CholResult ch = confchox(mch, g, spd.view(), FactorOptions{.block_size = v});
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(lu.perm[static_cast<std::size_t>(i)], i) << "n=" << n;
+      }
+      EXPECT_EQ(lu.factors, want_lu) << "n=" << n << " width=" << width;
+      EXPECT_EQ(ch.factors, want_ch) << "n=" << n << " width=" << width;
+    }
+  }
+}
+
+TEST(PackedHandoff, ResidentWordsMatchRetainedStorage) {
+  // The bytes a run leaves allocated while its result is alive are exactly
+  // the result's storage: no npad-shaped buffer survives the hand-off.
+  const index_t v = 16;
+  const grid::Grid3D g(2, 2, 2);
+  const xblas::ScopedThreadCap one(1);
+  FactorOptions opt;
+  opt.block_size = v;
+  opt.lookahead = 0;
+  for (const index_t n : {6 * v, 6 * v - 1}) {
+    const MatrixD a = random_dominant_matrix(n, 500 + static_cast<std::uint64_t>(n));
+    const MatrixD spd = random_spd_matrix(n, 600 + static_cast<std::uint64_t>(n));
+    const auto retained_bytes = [&](auto&& factor) {
+      const long long before = g_live_bytes.load(std::memory_order_relaxed);
+      const auto result = factor();
+      const long long kept = g_live_bytes.load(std::memory_order_relaxed) - before;
+      EXPECT_EQ(result.factors.rows(), n);
+      EXPECT_EQ(result.factors.cols(), n);
+      return std::make_pair(static_cast<double>(kept), result.resident_words() * 8.0);
+    };
+    const auto lu = [&] {
+      xsim::Machine m = make_machine(g, n);
+      return conflux_lu(m, g, a.view(), opt);
+    };
+    const auto ch = [&] {
+      xsim::Machine m = make_machine(g, n);
+      return confchox(m, g, spd.view(), opt);
+    };
+    retained_bytes(lu);  // warm thread-local BLAS scratch at this size
+    retained_bytes(ch);
+    const auto [lu_kept, lu_resident] = retained_bytes(lu);
+    const auto [ch_kept, ch_resident] = retained_bytes(ch);
+    EXPECT_EQ(lu_kept, lu_resident) << "n=" << n;
+    EXPECT_EQ(ch_kept, ch_resident) << "n=" << n;
+  }
+}
+
+TEST(PackedSetup, NonFiniteInputIsRejectedAndCallerMatrixUntouched) {
+  // The set-up pass scans in parallel row blocks and throws on the calling
+  // thread after the loop; a bad value anywhere — first element, last
+  // element the core reads, inside the last row block — must classify.
+  const index_t n = 300, v = 16;  // three kRowBlock row blocks
+  const grid::Grid3D g(2, 2, 2);
+  const xblas::ScopedThreadCap cap(4);
+  const MatrixD a0 = random_matrix(n, n, 701);
+  const MatrixD spd0 = random_spd_matrix(n, 703);
+  const auto same_bits = [](const MatrixD& x, const MatrixD& y) {
+    return std::memcmp(x.data(), y.data(),
+                       static_cast<std::size_t>(x.size()) * sizeof(double)) == 0;
+  };
+  struct Spot {
+    index_t i, j;
+  };
+  const index_t last_block = n - 20;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const Spot s : {Spot{0, 0}, Spot{n - 1, n - 1}, Spot{last_block, 7}}) {
+      MatrixD a = a0;
+      a(s.i, s.j) = bad;
+      const MatrixD a_before = a;
+      xsim::Machine mlu = make_machine(g, n);
+      const auto lu = try_conflux_lu(mlu, g, a.view(), FactorOptions{.block_size = v});
+      ASSERT_FALSE(lu.has_value());
+      EXPECT_EQ(lu.status().code(), StatusCode::kNonFinite) << lu.status().to_string();
+      EXPECT_EQ(lu.status().message(), "input matrix contains a non-finite value");
+      EXPECT_TRUE(same_bits(a, a_before));
+    }
+    for (const Spot s : {Spot{0, 0}, Spot{n - 1, 0}, Spot{last_block, 7}}) {
+      MatrixD spd = spd0;
+      spd(s.i, s.j) = bad;
+      const MatrixD spd_before = spd;
+      xsim::Machine mch = make_machine(g, n);
+      const auto ch = try_confchox(mch, g, spd.view(), FactorOptions{.block_size = v});
+      ASSERT_FALSE(ch.has_value());
+      EXPECT_EQ(ch.status().code(), StatusCode::kNonFinite) << ch.status().to_string();
+      EXPECT_EQ(ch.status().message(), "input matrix contains a non-finite value");
+      EXPECT_TRUE(same_bits(spd, spd_before));
+    }
+  }
+}
+
+TEST(PackedSetup, OverflowingURowsKeepTheirCodeMessageAndStep) {
+  // Finite input whose step-0 U rows overflow in the A01 trsm: rows 0 and 1
+  // tie for the first pivot with opposite signs (multiplier -1), and both
+  // carry 1e308 in the last trailing column, which the last A01 chunk
+  // solves. The chunk scans reduce on the master to the serial verdict.
+  const index_t n = 64, v = 16;
+  const grid::Grid3D g(2, 2, 2);
+  MatrixD a(n, n, 0.01);
+  for (index_t i = 0; i < n; ++i) a(i, i) = 10.0;
+  a(1, 0) = -10.0;
+  a(0, n - 1) = 1e308;
+  a(1, n - 1) = 1e308;
+  for (const int width : {1, 4}) {
+    const xblas::ScopedThreadCap cap(width);
+    xsim::Machine m = make_machine(g, n);
+    const auto r = try_conflux_lu(m, g, a.view(), FactorOptions{.block_size = v});
+    ASSERT_FALSE(r.has_value()) << "width=" << width;
+    EXPECT_EQ(r.status().code(), StatusCode::kNonFinite) << r.status().to_string();
+    EXPECT_EQ(r.status().message(), "non-finite value in the factored pivot rows");
+    EXPECT_EQ(r.status().step(), 0);
+  }
 }
 
 TEST(PackedWorkspace, PeakWordsStayNearOneMatrixForCholesky) {

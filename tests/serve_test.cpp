@@ -22,7 +22,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -351,27 +353,37 @@ TEST(ServeAdmission, FactorOnlyWarmupThenSolveHitsTheCache) {
 }
 
 TEST(ServeAdmission, DestructionResolvesQueuedRequestsAsCancelled) {
+  const MatrixD big = kfac_kronecker_factor(320, /*seed=*/14);
+  SolveService::Ticket blocker_ticket;
   SolveService::Ticket queued;
   {
     SolveService service(test_options(/*threads=*/1, /*queue_depth=*/4));
-    const MatrixD big = kfac_kronecker_factor(320, /*seed=*/14);
+    // Hold the only executor inside the blocker until the destructor has
+    // set the stop flag, so the queued request can never be popped.
+    std::promise<void> busy;
+    std::future<void> executor_busy = busy.get_future();
+    std::atomic<bool> first{true};
+    service.set_execute_hook([&] {
+      if (!first.exchange(false)) return;
+      busy.set_value();
+      while (!service.stopping()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
     SolveRequest blocker;
     blocker.method = Method::kCholesky;
     blocker.a = big.view();
-    SolveService::Ticket blocker_ticket = service.submit(blocker);
+    blocker_ticket = service.submit(blocker);
+    executor_busy.wait();
     queued = service.submit(make_request(0, Method::kLu, Precision::kFp64, 50));
     // Service destructs here: the blocker completes, the queued request
     // must resolve (as cancelled), and no waiter may wedge.
-    const SolveResponse blocker_resp = service.wait(blocker_ticket);
-    ASSERT_TRUE(blocker_resp.ok());
   }
-  SolveService stub(test_options(1));  // unrelated service; ticket outlives its service
-  SolveResponse resp;
-  {
-    // wait() only touches the request state, which the ticket keeps alive.
-    SolveService::Ticket t = std::move(queued);
-    resp = stub.wait(t);
-  }
+  SolveService stub(test_options(1));  // unrelated service; tickets outlive theirs
+  // wait() only touches the request state, which the ticket keeps alive.
+  const SolveResponse blocker_resp = stub.wait(blocker_ticket);
+  EXPECT_TRUE(blocker_resp.ok()) << blocker_resp.status.to_string();
+  const SolveResponse resp = stub.wait(queued);
   EXPECT_EQ(resp.status.code(), StatusCode::kCancelled);
 }
 
