@@ -4,7 +4,6 @@
 #include "blas/autotune.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,177 +23,24 @@ namespace conflux::xblas::autotune {
 
 namespace {
 
-// ---- minimal JSON reader --------------------------------------------------
 // The tuning file is machine-written by save_entries, but it lives in a
-// user cache directory, so loading must survive arbitrary corruption. This
-// is a strict little recursive-descent parser for the JSON subset the file
-// uses (no \u escapes beyond pass-through, no exponent edge pampering —
-// numbers go through strtod).
+// user cache directory, so loading must survive arbitrary corruption:
+// json::parse is strict, and every field read below falls back on a
+// missing or mistyped member.
 
-struct JValue {
-  enum Kind { kNull, kBool, kNum, kStr, kArr, kObj };
-  Kind kind = kNull;
-  bool b = false;
-  double num = 0.0;
-  std::string str;
-  std::vector<JValue> arr;
-  std::vector<std::pair<std::string, JValue>> obj;
+using JKind = json::Value::Kind;
 
-  const JValue* get(std::string_view key) const {
-    if (kind != kObj) return nullptr;
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JParser {
- public:
-  explicit JParser(std::string_view text) : s_(text) {}
-
-  bool parse(JValue* out) {
-    skip_ws();
-    if (!parse_value(out)) return false;
-    skip_ws();
-    return pos_ == s_.size();  // trailing garbage = corrupt
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  bool eat_lit(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) == lit) {
-      pos_ += lit.size();
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!eat('"')) return false;
-    out->clear();
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char e = s_[pos_++];
-        switch (e) {
-          case '"': out->push_back('"'); break;
-          case '\\': out->push_back('\\'); break;
-          case '/': out->push_back('/'); break;
-          case 'n': out->push_back('\n'); break;
-          case 't': out->push_back('\t'); break;
-          case 'r': out->push_back('\r'); break;
-          case 'b': out->push_back('\b'); break;
-          case 'f': out->push_back('\f'); break;
-          case 'u':  // tuning keys/values never need it; skip the 4 digits
-            if (pos_ + 4 > s_.size()) return false;
-            out->push_back('?');
-            pos_ += 4;
-            break;
-          default: return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool parse_value(JValue* out) {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') {
-      ++pos_;
-      out->kind = JValue::kObj;
-      skip_ws();
-      if (eat('}')) return true;
-      while (true) {
-        std::string key;
-        skip_ws();
-        if (!parse_string(&key)) return false;
-        skip_ws();
-        if (!eat(':')) return false;
-        JValue v;
-        if (!parse_value(&v)) return false;
-        out->obj.emplace_back(std::move(key), std::move(v));
-        skip_ws();
-        if (eat(',')) continue;
-        return eat('}');
-      }
-    }
-    if (c == '[') {
-      ++pos_;
-      out->kind = JValue::kArr;
-      skip_ws();
-      if (eat(']')) return true;
-      while (true) {
-        JValue v;
-        if (!parse_value(&v)) return false;
-        out->arr.push_back(std::move(v));
-        skip_ws();
-        if (eat(',')) continue;
-        return eat(']');
-      }
-    }
-    if (c == '"') {
-      out->kind = JValue::kStr;
-      return parse_string(&out->str);
-    }
-    if (eat_lit("true")) {
-      out->kind = JValue::kBool;
-      out->b = true;
-      return true;
-    }
-    if (eat_lit("false")) {
-      out->kind = JValue::kBool;
-      out->b = false;
-      return true;
-    }
-    if (eat_lit("null")) {
-      out->kind = JValue::kNull;
-      return true;
-    }
-    // number
-    const char* begin = s_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return false;
-    pos_ += static_cast<std::size_t>(end - begin);
-    out->kind = JValue::kNum;
-    out->num = v;
-    return true;
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
-index_t jnum_index(const JValue& obj, std::string_view key, index_t fallback) {
-  const JValue* v = obj.get(key);
-  if (v == nullptr || v->kind != JValue::kNum) return fallback;
-  if (!std::isfinite(v->num) || v->num < 0 || v->num > 1e12) return fallback;
-  return static_cast<index_t>(v->num);
+index_t jnum_index(const json::Value& obj, std::string_view key, index_t fallback) {
+  const json::Value* v = obj.get(key);
+  if (v == nullptr || !v->is(JKind::kNumber)) return fallback;
+  if (!std::isfinite(v->number) || v->number < 0 || v->number > 1e12) return fallback;
+  return static_cast<index_t>(v->number);
 }
 
-double jnum(const JValue& obj, std::string_view key, double fallback) {
-  const JValue* v = obj.get(key);
-  if (v == nullptr || v->kind != JValue::kNum) return fallback;
-  return v->num;
+double jnum(const json::Value& obj, std::string_view key, double fallback) {
+  const json::Value* v = obj.get(key);
+  if (v == nullptr || !v->is(JKind::kNumber)) return fallback;
+  return v->number;
 }
 
 // ---- timing ---------------------------------------------------------------
@@ -269,28 +115,28 @@ bool load_entries(const std::string& path, std::vector<Entry>* out) {
   buf << in.rdbuf();
   const std::string text = buf.str();
 
-  JValue root;
-  if (!JParser(text).parse(&root) || root.kind != JValue::kObj) return false;
-  const JValue* version = root.get("version");
-  if (version == nullptr || version->kind != JValue::kNum ||
-      static_cast<int>(version->num) != 1) {
+  const std::optional<json::Value> root = json::parse(text);
+  if (!root || !root->is(JKind::kObject)) return false;
+  const json::Value* version = root->get("version");
+  if (version == nullptr || !version->is(JKind::kNumber) ||
+      static_cast<int>(version->number) != 1) {
     return false;
   }
-  const JValue* entries = root.get("entries");
-  if (entries == nullptr || entries->kind != JValue::kArr) return false;
+  const json::Value* entries = root->get("entries");
+  if (entries == nullptr || !entries->is(JKind::kArray)) return false;
 
-  for (const JValue& je : entries->arr) {
-    if (je.kind != JValue::kObj) return false;
-    const JValue* isa_v = je.get("isa");
-    const JValue* type_v = je.get("type");
-    if (isa_v == nullptr || isa_v->kind != JValue::kStr || type_v == nullptr ||
-        type_v->kind != JValue::kStr) {
+  for (const json::Value& je : entries->array) {
+    if (!je.is(JKind::kObject)) return false;
+    const json::Value* isa_v = je.get("isa");
+    const json::Value* type_v = je.get("type");
+    if (isa_v == nullptr || !isa_v->is(JKind::kString) || type_v == nullptr ||
+        !type_v->is(JKind::kString)) {
       return false;
     }
     Entry e;
-    if (!parse_isa(isa_v->str, &e.isa)) continue;  // future ISA: skip, keep
-    if (type_v->str != "f64" && type_v->str != "f32") continue;
-    e.type = type_v->str;
+    if (!parse_isa(isa_v->string, &e.isa)) continue;  // future ISA: skip, keep
+    if (type_v->string != "f64" && type_v->string != "f32") continue;
+    e.type = type_v->string;
     e.mc = jnum_index(je, "mc", 0);
     e.kc = jnum_index(je, "kc", 0);
     e.nc = jnum_index(je, "nc", 0);

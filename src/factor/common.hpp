@@ -3,6 +3,7 @@
 // row-masking pivot strategy (Section 7.3).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -272,6 +273,14 @@ class GridLineCache {
   int b_dim_ = 1;
   std::vector<std::vector<int>> lines_;
 };
+
+/// Approximate peer count for the latency term of an aggregated charge:
+/// `items` pieces spread over at most `peers` partners (DESIGN.md
+/// "approx_msgs"; only the alpha cost, never the volume, depends on it).
+inline long long approx_msgs(index_t items, int peers) {
+  return std::min<long long>(static_cast<long long>(std::max<index_t>(items, 0)),
+                             static_cast<long long>(peers));
+}
 
 /// Balanced 1D split of `total` items over `parts` chunks: chunk r covers
 /// [offset(r), offset(r+1)).

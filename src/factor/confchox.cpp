@@ -1,17 +1,12 @@
 #include "factor/confchox.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <limits>
 
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
-#include "recover/abft.hpp"
-#include "recover/options.hpp"
-#include "recover/snapshot.hpp"
+#include "factor/step_loop.hpp"
 #include "sched/rank_parallel.hpp"
 #include "sched/taskpool.hpp"
 #include "support/check.hpp"
@@ -30,30 +25,11 @@ using xblas::Side;
 using xblas::Trans;
 using xblas::UpLo;
 
-// Measured data movement (DESIGN.md "Observability"); same counter names
-// as conflux_lu.cpp — registration is idempotent by name, so both factor
-// cores feed one per-phase taxonomy. Read-only on the data path.
-const metrics::Counter g_dm_panel_gather("dm.panel_gather.bytes");
-const metrics::Counter g_dm_panel_solve("dm.panel_solve.bytes");
-const metrics::Counter g_dm_schur_operand("dm.schur_operand.bytes");
-const metrics::Counter g_dm_schur_update("dm.schur_update.bytes");
-
-// Recovery counters (DESIGN.md "Recovery model"); shared by name with
-// conflux_lu.cpp so both factor cores feed one recover.* ledger.
-const metrics::Counter g_ckpt_seconds("recover.ckpt.seconds");
-const metrics::Counter g_ckpt_restores("recover.ckpt.restores");
-const metrics::Counter g_abft_verified("recover.abft.verified");
-const metrics::Counter g_abft_detected("recover.abft.detected");
-const metrics::Counter g_abft_reexec("recover.abft.reexec");
-
-/// ABFT re-execution budget per run (see conflux_lu.cpp).
-constexpr int kMaxAbftReexecs = 8;
-
 /// Workspace slot ids (tensor/workspace.hpp arena).
 enum WsSlot : std::size_t { kA00 = 0 };
 
 /// The whole mutable state of one factorization run, templated on the
-/// factor scalar.
+/// factor scalar; the step loop's `Core` (factor/step_loop.hpp).
 ///
 /// Real-mode data path (DESIGN.md "Packed trailing workspace"): ONE
 /// npad x npad buffer `fac` is both the trailing accumulator and the factor
@@ -76,20 +52,23 @@ enum WsSlot : std::size_t { kA00 = 0 };
 /// overlap step t's trailing update.
 template <typename T>
 struct CholRun {
+  using Scalar = T;
+  static constexpr recover::FactorKind kKind = recover::FactorKind::kCholesky;
+
   xsim::Machine& m;
   const grid::Grid3D& g;
+  ConstMatrixView<T> a;  // the input (Real mode); only its lower triangle is read
   index_t n = 0;
   index_t npad = 0;
   index_t v = 0;
   index_t num_tiles = 0;
   bool real = false;
-  bool la = false;
   std::vector<int> all_ranks;
   Matrix<T> fac;  // trailing accumulator left of the frontier, factor right
   Workspace ws;
 
-  // Lookahead task handles (empty when la == false).
-  std::vector<sched::TaskId> trsm_ids, urgent_ids, lazy_ids;
+  // Lookahead task handles (panel = this step's trsm chunks).
+  StepTasks tasks;
   std::vector<sched::TaskId> dep_scratch;
 
   // Breakdown monitoring (DESIGN.md "Failure model"; read-only on the data
@@ -116,8 +95,8 @@ struct CholRun {
   GridLineCache zlines;
 
   CholRun(xsim::Machine& machine, const grid::Grid3D& grid, index_t size,
-          index_t block)
-      : m(machine), g(grid), n(size), v(block) {
+          index_t block, ConstMatrixView<T> input)
+      : m(machine), g(grid), a(input), n(size), v(block) {
     npad = (n + v - 1) / v * v;
     num_tiles = npad / v;
     real = m.real();
@@ -133,11 +112,39 @@ struct CholRun {
   index_t rows_with_residue(index_t first, int q, int dim) const {
     return grid::cyclic_local_count(first, num_tiles, q, dim) * v;
   }
+
+  // Step-loop hooks (factor/step_loop.hpp).
+  void init_state();
+  void save_payload(recover::SnapshotWriter& w, index_t t);
+  void restore_payload(recover::SnapshotReader& r, index_t t);
+  void abft_init(index_t t);
+  /// Pre-trsm panel sums of the rows below the diagonal block.
+  void abft_capture(index_t t) {
+    abft_row_sums<T>((t + 1) * v, npad, abft_panel,
+                     [&](index_t r) { return live_row(t, r).first(static_cast<std::size_t>(v)); });
+  }
+  void abft_verify(index_t t) {
+    verify_abft_rows<T>(t, t * v, npad, abft_sum,
+                        [&](index_t r) { return live_row(t, r); }, "row");
+  }
+  T* bitflip_target(index_t t) { return &fac(t * v, t * v); }
+  void step(index_t t, StepCostRecorder& rec);
+
+  /// Row r's live lower-triangle cells at step t: fac(r, t*v .. r).
+  std::span<const T> live_row(index_t t, index_t r) const {
+    return {&fac(r, t * v), static_cast<std::size_t>(r - t * v + 1)};
+  }
 };
 
-long long approx_msgs(index_t items, int peers) {
-  return std::min<long long>(static_cast<long long>(std::max<index_t>(items, 0)),
-                             static_cast<long long>(peers));
+/// (Re)initialize the factor buffer from the input: also the rollback of
+/// last resort when ABFT detects corruption and no checkpoint exists.
+template <typename T>
+void CholRun<T>::init_state() {
+  health = FactorHealth{};
+  health.min_pivot = std::numeric_limits<double>::infinity();
+  // One parallel first-touch pass writes all of fac; only the input's
+  // lower triangle is read, the upper triangle is zero from here on.
+  amax = fill_workspace<T>(a, npad, /*lower=*/true, fac);
 }
 
 // ---------------------------------------------------------------------------
@@ -150,89 +157,34 @@ long long approx_msgs(index_t items, int peers) {
 // ---------------------------------------------------------------------------
 
 template <typename T>
-recover::SnapshotKey chol_snapshot_key(const CholRun<T>& run) {
-  recover::SnapshotKey key;
-  key.kind = recover::FactorKind::kCholesky;
-  key.scalar = sizeof(T) == sizeof(double) ? 'd' : 'f';
-  key.n = static_cast<std::int64_t>(run.n);
-  key.v = static_cast<std::int64_t>(run.v);
-  key.px = run.g.px();
-  key.py = run.g.py();
-  key.pz = run.g.pz();
-  return key;
-}
-
-template <typename T>
-void save_chol_snapshot(CholRun<T>& run, index_t t) {
-  recover::SnapshotWriter w(chol_snapshot_key(run),
-                            static_cast<std::int64_t>(t));
-  // Step 0 is a pure function of the input the resume entry point is handed
-  // anyway: an empty marker proves resumability without serializing the
-  // matrix (see save_lu_snapshot).
-  if (t == 0) {
-    recover::store_blob(chol_snapshot_key(run), std::move(w).seal());
-    return;
-  }
-  w.put_f64(run.amax);
-  w.put_i64(static_cast<std::int64_t>(run.health.code));
-  w.put_i64(run.health.first_breakdown_step);
-  w.put_i64(run.health.singular_pivots);
-  w.put_i64(run.health.near_singular_pivots);
-  w.put_f64(run.health.growth_factor);
-  w.put_f64(run.health.min_pivot);
+void CholRun<T>::save_payload(recover::SnapshotWriter& w, index_t) {
+  w.put_f64(amax);
+  put_health(w, health);
   // Only the lower triangle (diagonal included): init_state zeroes the
   // strict upper triangle and no phase of the factorization reads or writes
   // it, so restoring the lower rows onto a freshly initialized `fac` is
   // bitwise complete — at half the serialization volume. Row r lands at
   // element offset r(r+1)/2, so the rows are copied in parallel.
-  const auto npad = static_cast<std::size_t>(run.npad);
-  std::uint8_t* tri = w.put_space(npad * (npad + 1) / 2 * sizeof(T));
-  sched::parallel_rows(run.npad, [&](index_t r) {
+  const auto np = static_cast<std::size_t>(npad);
+  std::uint8_t* tri = w.put_space(np * (np + 1) / 2 * sizeof(T));
+  sched::parallel_rows(npad, [&](index_t r) {
     const auto ri = static_cast<std::size_t>(r);
-    std::memcpy(tri + ri * (ri + 1) / 2 * sizeof(T), &run.fac(r, 0),
+    std::memcpy(tri + ri * (ri + 1) / 2 * sizeof(T), &fac(r, 0),
                 (ri + 1) * sizeof(T));
   });
-  recover::store_blob(chol_snapshot_key(run), std::move(w).seal());
 }
 
-/// Restore the latest snapshot into `run` (whose `fac` was freshly
-/// initialized from the input — the strict upper triangle is NOT in the
-/// payload) and return the step to resume from; a corrupt or inconsistent
-/// snapshot throws kCheckpointInvalid.
+/// `fac` was freshly initialized from the input: the strict upper triangle
+/// is NOT in the payload.
 template <typename T>
-index_t restore_chol_snapshot(CholRun<T>& run) {
-  const recover::SnapshotKey key = chol_snapshot_key(run);
-  const auto bad = [](const std::string& what) {
-    throw status_error(Status(StatusCode::kCheckpointInvalid, what));
-  };
-  const recover::Blob blob = recover::latest_blob(key);
-  if (blob.empty()) bad("no checkpoint to resume " + key.to_string() + " from");
-  recover::SnapshotReader r(key, blob);
-  const auto t = static_cast<index_t>(r.step());
-  if (t >= run.num_tiles) bad("snapshot step past the end of the schedule");
-  // A step-0 snapshot is an empty marker: the caller re-derives the state
-  // from the input (see restore_lu_snapshot).
-  if (t == 0) {
-    if (r.remaining() != 0) bad("step-0 snapshot must be an empty marker");
-    return 0;
-  }
-  run.amax = r.get_f64();
-  const auto code = static_cast<StatusCode>(r.get_i64());
+void CholRun<T>::restore_payload(recover::SnapshotReader& r, index_t) {
+  amax = r.get_f64();
   // kNearSingularPivot is the only soft breakdown Cholesky ever records
   // (everything else is a hard throw that leaves no snapshot behind).
-  if (code != StatusCode::kOk && code != StatusCode::kNearSingularPivot) {
-    bad("snapshot health carries a code no factorization records");
+  health = get_health(r, {StatusCode::kNearSingularPivot});
+  for (index_t row = 0; row < npad; ++row) {
+    r.get_bytes(&fac(row, 0), static_cast<std::size_t>(row + 1) * sizeof(T));
   }
-  run.health.code = code;
-  run.health.first_breakdown_step = r.get_i64();
-  run.health.singular_pivots = r.get_i64();
-  run.health.near_singular_pivots = r.get_i64();
-  run.health.growth_factor = r.get_f64();
-  run.health.min_pivot = r.get_f64();
-  for (index_t row = 0; row < run.npad; ++row) {
-    r.get_bytes(&run.fac(row, 0), static_cast<std::size_t>(row + 1) * sizeof(T));
-  }
-  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -248,32 +200,11 @@ index_t restore_chol_snapshot(CholRun<T>& run) {
 // ---------------------------------------------------------------------------
 
 template <typename T>
-void init_chol_abft(CholRun<T>& run, index_t t) {
-  run.abft_sum.assign(static_cast<std::size_t>(run.npad), 0.0);
-  run.abft_panel.assign(static_cast<std::size_t>(run.npad), 0.0);
-  run.abft_cum.assign(static_cast<std::size_t>(run.v), 0.0);
-  // Row-parallel (sched::parallel_rows): each row is still summed by one
-  // task in column order, so the predictions keep their bits at any width.
-  const index_t col0 = t * run.v;
-  sched::parallel_rows(run.npad - col0, [&](index_t p) {
-    const index_t r = col0 + p;
-    double s = 0.0;
-    for (index_t j = col0; j <= r; ++j) {
-      s += static_cast<double>(run.fac(r, j));
-    }
-    run.abft_sum[static_cast<std::size_t>(r)] = s;
-  });
-}
-
-template <typename T>
-void capture_chol_abft_panel(CholRun<T>& run, index_t t) {
-  const index_t first = (t + 1) * run.v;
-  sched::parallel_rows(run.npad - first, [&](index_t p) {
-    const T* row = &run.fac(first + p, t * run.v);
-    double s = 0.0;
-    for (index_t j = 0; j < run.v; ++j) s += static_cast<double>(row[j]);
-    run.abft_panel[static_cast<std::size_t>(first + p)] = s;
-  });
+void CholRun<T>::abft_init(index_t t) {
+  abft_sum.assign(static_cast<std::size_t>(npad), 0.0);
+  abft_panel.assign(static_cast<std::size_t>(npad), 0.0);
+  abft_cum.assign(static_cast<std::size_t>(v), 0.0);
+  abft_row_sums<T>(t * v, npad, abft_sum, [&](index_t r) { return live_row(t, r); });
 }
 
 /// Roll the predicted sums forward across this step's Schur update. Must run
@@ -294,75 +225,6 @@ void apply_chol_abft_update(CholRun<T>& run, index_t t, index_t panel_rows) {
     }
     run.abft_sum[static_cast<std::size_t>(off + p)] -=
         run.abft_panel[static_cast<std::size_t>(off + p)] + upd;
-  }
-}
-
-/// One row's verification scan; unrolled accumulators as in conflux_lu.cpp's
-/// abft_row_ok (the comparison is tolerance-based, never bitwise).
-template <typename T>
-bool chol_abft_row_ok(const T* row, index_t width, double predicted) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  index_t j = 0;
-  for (; j + 4 <= width; j += 4) {
-    const double x0 = static_cast<double>(row[j]);
-    const double x1 = static_cast<double>(row[j + 1]);
-    const double x2 = static_cast<double>(row[j + 2]);
-    const double x3 = static_cast<double>(row[j + 3]);
-    a0 += x0;
-    a1 += x1;
-    a2 += x2;
-    a3 += x3;
-    m0 += std::abs(x0);
-    m1 += std::abs(x1);
-    m2 += std::abs(x2);
-    m3 += std::abs(x3);
-  }
-  for (; j < width; ++j) {
-    const double x = static_cast<double>(row[j]);
-    a0 += x;
-    m0 += std::abs(x);
-  }
-  const double actual = (a0 + a1) + (a2 + a3);
-  const double mag = (m0 + m1) + (m2 + m3);
-  return std::abs(actual - predicted) <= 0.05 * (mag + 1.0);
-}
-
-/// Read-only verification of the invariant (tolerance rationale in
-/// conflux_lu.cpp's verify_abft). Parallel row chunks over the drained pool,
-/// one task per row scan, so the verdict is thread-count independent; the
-/// lowest bad row is reported.
-template <typename T>
-void verify_chol_abft(CholRun<T>& run, index_t t) {
-  g_abft_verified.add(1.0);
-  const index_t col0 = t * run.v;
-  const index_t live = run.npad - col0;
-  constexpr index_t kRowsPerChunk = 128;
-  const index_t nchunks = (live + kRowsPerChunk - 1) / kRowsPerChunk;
-  std::atomic<index_t> bad{run.npad};
-  sched::TaskPool::instance().parallel_for(nchunks, [&](index_t c) {
-    const index_t lo = col0 + c * kRowsPerChunk;
-    const index_t hi = std::min(run.npad, lo + kRowsPerChunk);
-    for (index_t r = lo; r < hi; ++r) {
-      if (chol_abft_row_ok(&run.fac(r, col0), r - col0 + 1,
-                           run.abft_sum[static_cast<std::size_t>(r)])) {
-        continue;
-      }
-      index_t seen = bad.load(std::memory_order_relaxed);
-      while (r < seen &&
-             !bad.compare_exchange_weak(seen, r, std::memory_order_relaxed)) {
-      }
-      break;
-    }
-  });
-  const index_t bad_row = bad.load(std::memory_order_relaxed);
-  if (bad_row < run.npad) {
-    g_abft_detected.add(1.0);
-    throw status_error(Status(
-        StatusCode::kDataCorruption,
-        "ABFT row-sum mismatch in the trailing accumulator (row " +
-            std::to_string(bad_row) + ")",
-        static_cast<long long>(t)));
   }
 }
 
@@ -395,7 +257,7 @@ void reduce_block_column(CholRun<T>& run, index_t t) {
 template <typename T>
 void factor_and_broadcast_a00(CholRun<T>& run, index_t t, MatrixView<T>* a00) {
   prof::ScopedSpan span("potrf-a00", static_cast<long long>(t));
-  if (run.la) sched::TaskPool::instance().wait(run.urgent_ids);
+  run.tasks.wait_urgent();
   run.m.annotate("potrf-a00");
   const int x_t = static_cast<int>(t) % run.g.px();
   const int y_t = static_cast<int>(t) % run.g.py();
@@ -505,7 +367,7 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
     const double mine = static_cast<double>(chunk_size(panel_rows, p, r));
     if (mine > 0) run.m.charge_flops(r, mine * vv * vv);
   }
-  run.trsm_ids.clear();
+  run.tasks.panel.clear();
   if (run.real && panel_rows > 0) {
     MatrixView<T> panel = run.fac.block((t + 1) * run.v, t * run.v, panel_rows, run.v);
     const index_t v = run.v;
@@ -521,20 +383,8 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
            static_cast<double>(v) * static_cast<double>(v)) *
           static_cast<double>(sizeof(T)));
     };
-    sched::TaskPool& pool = sched::TaskPool::instance();
-    if (run.la) {
-      for (int r = 0; r < p; ++r) {
-        // Retryable: the injected transient fault fires before the body
-        // runs, so the in-place solve has not happened on a retried attempt
-        // and re-running it is exact (same for the Schur pieces below).
-        run.trsm_ids.push_back(pool.submit(
-            [chunk, r] { chunk(static_cast<index_t>(r)); }, "panel-trsm",
-            sched::TaskCategory::Other, static_cast<long long>(t), nullptr, 0,
-            /*retryable=*/true));
-      }
-    } else {
-      pool.parallel_for(p, chunk);
-    }
+    run.tasks.launch(run.tasks.panel, 0, p, chunk, "panel-trsm",
+                     sched::TaskCategory::Other, t, {});
   }
   run.m.step_barrier();
 }
@@ -626,9 +476,9 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
     }
   }
 
-  std::vector<sched::TaskId> prev_lazy = std::move(run.lazy_ids);
-  run.urgent_ids.clear();
-  run.lazy_ids.clear();
+  std::vector<sched::TaskId> prev_lazy = std::move(run.tasks.lazy);
+  run.tasks.urgent.clear();
+  run.tasks.lazy.clear();
   if (run.real && panel_rows > 0) {
     // The urgent cut at column v assumes v <= kRowBlock (true for
     // default_block_size and every practical configuration). For larger
@@ -723,36 +573,47 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
       }
     };
 
-    sched::TaskPool& pool = sched::TaskPool::instance();
-    if (run.la) {
-      // Dependencies: both pieces read this step's solved panel (all trsm
-      // chunks) and write trailing cells the previous lazy remainder also
-      // writes — express both instead of waiting.
-      run.dep_scratch.assign(run.trsm_ids.begin(), run.trsm_ids.end());
-      run.dep_scratch.insert(run.dep_scratch.end(), prev_lazy.begin(),
-                             prev_lazy.end());
-      for (index_t blk = 0; blk < nblocks; ++blk) {
-        run.urgent_ids.push_back(
-            pool.submit([urgent_block, blk] { urgent_block(blk); },
-                        "schur-urgent", sched::TaskCategory::Urgent,
-                        static_cast<long long>(t), run.dep_scratch,
-                        /*retryable=*/true));
-      }
-      if (split) {
-        for (index_t blk = 0; blk < nblocks; ++blk) {
-          if (blk == 0 && panel_rows <= v) continue;  // empty lazy piece
-          run.lazy_ids.push_back(
-              pool.submit([lazy_block, blk] { lazy_block(blk); }, "schur-lazy",
-                          sched::TaskCategory::Lazy, static_cast<long long>(t),
-                          run.dep_scratch, /*retryable=*/true));
-        }
-      }
-    } else {
-      pool.parallel_for(nblocks, urgent_block);
-      if (split) pool.parallel_for(nblocks, lazy_block);
+    // Pipelined dependencies: both pieces read this step's solved panel
+    // (all trsm chunks) and write trailing cells the previous lazy
+    // remainder also writes — express both instead of waiting.
+    run.dep_scratch.assign(run.tasks.panel.begin(), run.tasks.panel.end());
+    run.dep_scratch.insert(run.dep_scratch.end(), prev_lazy.begin(), prev_lazy.end());
+    run.tasks.launch(run.tasks.urgent, 0, nblocks, urgent_block, "schur-urgent",
+                     sched::TaskCategory::Urgent, t, run.dep_scratch);
+    if (split) {
+      // Block 0's lazy piece is empty when the panel fits in the urgent cut.
+      run.tasks.launch(run.tasks.lazy, panel_rows <= v ? 1 : 0, nblocks, lazy_block,
+                       "schur-lazy", sched::TaskCategory::Lazy, t, run.dep_scratch);
     }
   }
   run.m.step_barrier();
+}
+
+// The step body: the paper's Cholesky step, run by the step loop after
+// its boundary hook.
+template <typename T>
+void CholRun<T>::step(index_t t, StepCostRecorder& rec) {
+  const index_t panel_rows = npad - (t + 1) * v;
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
+              [&] { reduce_block_column(*this, t); });
+  MatrixView<T> a00;
+  rec.measure(&StepCosts::a00_words, &StepCosts::a00_flops,
+              [&] { factor_and_broadcast_a00(*this, t, &a00); });
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
+              [&] { scatter_panel_1d(*this, t, panel_rows); });
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
+              [&] { trsm_panel<T>(*this, t, panel_rows, a00); });
+  if (abft && panel_rows > 0) {
+    // Advance the checksums across this step's Schur update; the solved
+    // panel is the only input, so only the trsm chunks must have landed
+    // (the Schur tasks depend on them anyway).
+    tasks.wait_panel();
+    apply_chol_abft_update(*this, t, panel_rows);
+  }
+  rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
+              [&] { distribute_panel_2p5d(*this, t, panel_rows); });
+  rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
+              [&] { update_a11(*this, t, panel_rows); });
 }
 
 template <typename T>
@@ -764,11 +625,8 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   index_t v = opt.block_size > 0 ? opt.block_size : default_block_size(n, g);
   expects(v % g.pz() == 0, "block size must be a multiple of the layer count");
 
-  CholRun<T> run(m, g, n, v);
-  run.la = run.real && lookahead_enabled(opt);
+  CholRun<T> run(m, g, n, v, a);
   const index_t npad = run.npad;
-  const index_t num_tiles = run.num_tiles;
-  sched::TaskPool& pool = sched::TaskPool::instance();
 
   const double tile_words =
       static_cast<double>(npad) * static_cast<double>(npad) /
@@ -776,58 +634,15 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   const double panel_words =
       2.0 * static_cast<double>(npad * v) / static_cast<double>(m.ranks()) +
       static_cast<double>(v * v);
-  for (int r = 0; r < m.ranks(); ++r) m.alloc(r, tile_words + panel_words);
-
-  // Release the memory accounting on every exit path; on an error unwind
-  // first drain the pool (in-flight lookahead tasks reference run.fac).
-  struct MachineLease {
-    xsim::Machine& m;
-    double words;
-    bool la;
-    ~MachineLease() {
-      if (la && std::uncaught_exceptions() > 0) {
-        try {
-          sched::TaskPool::instance().wait_all();
-        } catch (...) {
-        }
-      }
-      for (int r = 0; r < m.ranks(); ++r) m.release(r, words);
-    }
-  } lease{m, tile_words + panel_words, run.la};
-
-  // (Re)initialize the factor buffer from the input: also the rollback of
-  // last resort when ABFT detects corruption and no checkpoint exists — the
-  // caller's view of `a` is untouched by the run.
-  const auto init_state = [&] {
-    run.health = FactorHealth{};
-    run.health.min_pivot = std::numeric_limits<double>::infinity();
-    // One parallel first-touch pass writes all of fac; only the input's
-    // lower triangle is read, the upper triangle is zero from here on.
-    run.amax = fill_workspace<T>(a, npad, /*lower=*/true, run.fac);
-  };
+  StepLoop loop(m, opt, run.real, tile_words + panel_words, run.tasks);
 
   if (run.real) {
     prof::ScopedSpan span("factor-setup");
     expects(a.rows() == n && a.cols() == n, "matrix must be square");
     run.pivot_tol = opt.pivot_tolerance;
-    init_state();
+    run.init_state();
   }
-
-  CholResultT<T> result;
-  StepCostRecorder rec(m, opt.record_step_costs);
-
-  // Recovery configuration (recover/options.hpp): resolved once per run.
-  const recover::Options ropt = recover::options();
-  const bool ckpt_on = run.real && ropt.ckpt_every > 0;
-  run.abft = run.real && ropt.abft;
-
-  index_t t0 = 0;
-  if (resume) {
-    expects(run.real, "resume requires Real mode");
-    t0 = restore_chol_snapshot(run);
-    g_ckpt_restores.add(1.0);
-  }
-  if (run.abft) init_chol_abft(run, t0);
+  run.abft = loop.abft();
 
   // Latency chain per iteration: one layer reduction, the A00 broadcast,
   // and the two panel hops (no pivoting chain at all).
@@ -835,100 +650,8 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
       std::ceil(std::log2(static_cast<double>(std::max(2, g.pz())))) +
       std::ceil(std::log2(static_cast<double>(std::max(2, m.ranks())))) + 3.0;
 
-  // Step loop with in-run recovery (structure documented in
-  // conflux_lu.cpp): ABFT-detected corruption rolls back to the last
-  // checkpoint or the input, bounded by kMaxAbftReexecs; everything else
-  // unwinds, and resume_confchox restarts a crashed run from its snapshot.
-  index_t t = t0;
-  int reexecs_left = kMaxAbftReexecs;
-  while (t < num_tiles) {
-  try {
-    const index_t panel_rows = npad - (t + 1) * v;
-    if (run.real) {
-      const bool ckpt_due = ckpt_on && t % ropt.ckpt_every == 0;
-      // Checksums are maintained every step; the full sweep over the live
-      // triangle runs every abft_every steps (it re-reads everything, which
-      // at bandwidth would blow the 10% overhead budget per-step).
-      const bool verifying = run.abft && t > 0 && t % ropt.abft_every == 0;
-      if ((ckpt_due || verifying) && run.la) {
-        pool.wait(run.trsm_ids);
-        pool.wait(run.urgent_ids);
-        pool.wait(run.lazy_ids);
-      } else if (run.abft && run.la) {
-        // Maintenance-only step: capture_chol_abft_panel below reads tile
-        // column t, which is exactly the urgent piece of the previous
-        // step's Schur update; the lazy remainder keeps running behind it.
-        pool.wait(run.trsm_ids);
-        pool.wait(run.urgent_ids);
-      }
-      if (verifying) {
-        if (fault::enabled() && fault::should_inject(fault::Site::kBitflip)) {
-          run.fac(t * v, t * v) = recover::flip_high_bit(run.fac(t * v, t * v));
-        }
-        verify_chol_abft(run, t);
-      }
-      if (ckpt_due) {
-        const auto c0 = std::chrono::steady_clock::now();
-        save_chol_snapshot(run, t);
-        g_ckpt_seconds.add(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count());
-      }
-      // Fires AFTER the save: with ckpt_every == 1 every crash is resumable.
-      if (fault::enabled() && fault::should_inject(fault::Site::kCrashAtStep)) {
-        throw status_error(Status(StatusCode::kCrashSimulated,
-                                  "injected crash at a step boundary",
-                                  static_cast<long long>(t)));
-      }
-      if (run.abft) capture_chol_abft_panel(run, t);
-    }
-
-    m.charge_chain(chain_per_step);
-    rec.begin_iteration();
-
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
-                [&] { reduce_block_column(run, t); });
-    MatrixView<T> a00;
-    rec.measure(&StepCosts::a00_words, &StepCosts::a00_flops,
-                [&] { factor_and_broadcast_a00(run, t, &a00); });
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
-                [&] { scatter_panel_1d(run, t, panel_rows); });
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
-                [&] { trsm_panel<T>(run, t, panel_rows, a00); });
-    if (run.abft && panel_rows > 0) {
-      // Advance the checksums across this step's Schur update; the solved
-      // panel is the only input, so only the trsm chunks must have landed
-      // (the Schur tasks depend on them anyway).
-      if (run.la) pool.wait(run.trsm_ids);
-      apply_chol_abft_update(run, t, panel_rows);
-    }
-    rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
-                [&] { distribute_panel_2p5d(run, t, panel_rows); });
-    rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
-                [&] { update_a11(run, t, panel_rows); });
-    rec.end_iteration(result.step_costs);
-    ++t;
-  } catch (const status_error& e) {
-    if (e.code() != StatusCode::kDataCorruption || reexecs_left-- <= 0) throw;
-    g_abft_reexec.add(1.0);
-    if (recover::has_latest(chol_snapshot_key(run))) {
-      t = restore_chol_snapshot(run);
-      g_ckpt_restores.add(1.0);
-      // The step-0 snapshot is a marker: re-derive the state from the input.
-      if (t == 0) init_state();
-    } else {
-      init_state();
-      t = 0;
-    }
-    init_chol_abft(run, t);
-  }
-  }
-
-  if (run.la) {
-    pool.wait(run.trsm_ids);
-    pool.wait(run.urgent_ids);
-    pool.wait(run.lazy_ids);
-  }
+  CholResultT<T> result;
+  loop.run(run, resume, chain_per_step, result.step_costs);
 
   if (run.real) {
     prof::ScopedSpan span("factor-handoff");
@@ -942,26 +665,6 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     result.health = run.health;
   }
   return result;
-}
-
-/// Shared body of the try_* entry points (see conflux_lu.cpp's try_lu).
-template <typename T>
-Result<CholResultT<T>> try_chol(xsim::Machine& m, const grid::Grid3D& g,
-                                ConstMatrixView<T> a, const FactorOptions& opt,
-                                bool resume = false) {
-  try {
-    expects(m.real(), "try_confchox requires Real mode");
-    CholResultT<T> r = run_confchox<T>(m, g, a.rows(), a, opt, resume);
-    if (!r.health.ok()) {
-      Status st = r.health.to_status();
-      return Result<CholResultT<T>>(std::move(st), std::move(r));
-    }
-    return std::move(r);
-  } catch (const status_error& e) {
-    return e.status();
-  } catch (const contract_error& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
 }
 
 }  // namespace
@@ -980,12 +683,12 @@ CholResultF confchox(xsim::Machine& m, const grid::Grid3D& g, ConstViewF a,
 
 Result<CholResult> try_confchox(xsim::Machine& m, const grid::Grid3D& g,
                                 ConstViewD a, const FactorOptions& opt) {
-  return try_chol<double>(m, g, a, opt);
+  return try_factor("try_confchox", run_confchox<double>, m, g, a, opt);
 }
 
 Result<CholResultF> try_confchox(xsim::Machine& m, const grid::Grid3D& g,
                                  ConstViewF a, const FactorOptions& opt) {
-  return try_chol<float>(m, g, a, opt);
+  return try_factor("try_confchox", run_confchox<float>, m, g, a, opt);
 }
 
 CholResult resume_confchox(xsim::Machine& m, const grid::Grid3D& g, ConstViewD a,
@@ -1002,12 +705,12 @@ CholResultF resume_confchox(xsim::Machine& m, const grid::Grid3D& g,
 
 Result<CholResult> try_resume_confchox(xsim::Machine& m, const grid::Grid3D& g,
                                        ConstViewD a, const FactorOptions& opt) {
-  return try_chol<double>(m, g, a, opt, /*resume=*/true);
+  return try_factor("try_confchox", run_confchox<double>, m, g, a, opt, /*resume=*/true);
 }
 
 Result<CholResultF> try_resume_confchox(xsim::Machine& m, const grid::Grid3D& g,
                                         ConstViewF a, const FactorOptions& opt) {
-  return try_chol<float>(m, g, a, opt, /*resume=*/true);
+  return try_factor("try_confchox", run_confchox<float>, m, g, a, opt, /*resume=*/true);
 }
 
 CholResult confchox_trace(xsim::Machine& m, const grid::Grid3D& g, index_t n,

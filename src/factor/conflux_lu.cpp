@@ -1,19 +1,14 @@
 #include "factor/conflux_lu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <limits>
 #include <utility>
 
 #include "blas/lapack.hpp"
-#include "recover/abft.hpp"
-#include "recover/options.hpp"
-#include "recover/snapshot.hpp"
+#include "factor/step_loop.hpp"
 #include "sched/rank_parallel.hpp"
 #include "sched/taskpool.hpp"
 #include "support/check.hpp"
@@ -34,36 +29,12 @@ using xblas::UpLo;
 
 bool is_pow2(int n) { return std::has_single_bit(static_cast<unsigned>(n)); }
 
-// Measured data movement at the Real-path hot spots (DESIGN.md
-// "Observability"): bytes actually moved by this schedule's workspace
-// machinery, each operand touch counted once per use. The Schur gemm's
-// pack-buffer traffic is counted inside xblas::gemm; these cover the
-// copies around it. Every add is strictly read-only on the data path —
-// a healthy run's factors are bitwise those of a metrics-disabled run.
-const metrics::Counter g_dm_panel_gather("dm.panel_gather.bytes");
+// Measured data movement of LU's pivoting phases (DESIGN.md
+// "Observability"; the phases both cores share count into step_loop.hpp's
+// g_dm_* counters).
 const metrics::Counter g_dm_pivot_merge("dm.pivot_merge.bytes");
 const metrics::Counter g_dm_pivot_rows_gather("dm.pivot_rows_gather.bytes");
 const metrics::Counter g_dm_pivot_retire("dm.pivot_retire.bytes");
-const metrics::Counter g_dm_panel_solve("dm.panel_solve.bytes");
-const metrics::Counter g_dm_schur_operand("dm.schur_operand.bytes");
-const metrics::Counter g_dm_schur_update("dm.schur_update.bytes");
-
-// Recovery instrumentation (DESIGN.md "Recovery model"): checkpoint
-// serialization time and restore count, plus the ABFT verification ledger.
-// recover_test reconciles detected/reexec against the injected bitflips.
-// Registration is idempotent by name, so the Cholesky core declaring the
-// same counters shares the cells.
-const metrics::Counter g_ckpt_seconds("recover.ckpt.seconds");
-const metrics::Counter g_ckpt_restores("recover.ckpt.restores");
-const metrics::Counter g_abft_verified("recover.abft.verified");
-const metrics::Counter g_abft_detected("recover.abft.detected");
-const metrics::Counter g_abft_reexec("recover.abft.reexec");
-
-/// In-run re-execution budget for ABFT-detected corruption: enough to ride
-/// out a noisy soak (each re-execution re-verifies everything it replays),
-/// small enough that persistent corruption — a genuinely broken machine —
-/// still surfaces as kDataCorruption instead of looping forever.
-constexpr int kMaxAbftReexecs = 8;
 
 /// Soft-breakdown severity order for FactorHealth::code (the health report
 /// keeps the most severe classification; counts keep the full story).
@@ -105,6 +76,7 @@ struct PivotScratch {
   // simulated column owner, so each x owns its scratch).
   std::vector<std::vector<index_t>> xrows;
   std::vector<Matrix<T>> gather;    // rows_x x v panel values
+  std::vector<std::uint8_t> finite;  // per x: its gathered values are finite
   std::vector<Matrix<T>> rankwork;  // getrf copy (the ranking destroys it)
   std::vector<std::vector<index_t>> xipiv;
   std::vector<std::vector<index_t>> xperm;
@@ -183,7 +155,8 @@ enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
 
 /// The whole mutable state of one factorization run, templated on the
 /// factor scalar (the Trace entry point instantiates the double core with
-/// no data; Real mode exists for float and double).
+/// no data; Real mode exists for float and double); the step loop's `Core`
+/// (factor/step_loop.hpp).
 ///
 /// Real-mode data path (DESIGN.md "Packed trailing workspace"): instead of
 /// pz + 1 full npad x npad matrices, the run keeps
@@ -211,16 +184,20 @@ enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
 /// TaskPool with cross-step dependencies (lookahead_enabled).
 template <typename T>
 struct LuRun {
+  using Scalar = T;
+  static constexpr recover::FactorKind kKind = recover::FactorKind::kLu;
+
   xsim::Machine& m;
   const grid::Grid3D& g;
+  ConstMatrixView<T> a;  // the input (Real mode)
   index_t n = 0;     // original size
   index_t npad = 0;  // padded size (multiple of v)
   index_t v = 0;
   index_t num_tiles = 0;  // npad / v
   bool real = false;
-  bool la = false;  // lookahead pipelining on the task pool
 
   RowTracker tracker;
+  std::vector<index_t> perm_pad;  // elimination order so far
   Rng trace_rng;
   std::vector<int> all_ranks;
 
@@ -240,8 +217,8 @@ struct LuRun {
   std::vector<index_t> pivots_per_x;
   PivotScratch<T> scr;
 
-  // Lookahead task handles (empty when la == false).
-  std::vector<sched::TaskId> a10_ids, urgent_ids, lazy_ids;
+  // Lookahead task handles (panel = this step's A10 trsm chunks).
+  StepTasks tasks;
 
   // Breakdown monitoring (DESIGN.md "Failure model"): strictly read-only on
   // the data path — a healthy run's factors are bitwise those of a run with
@@ -282,9 +259,11 @@ struct LuRun {
   GridLineCache zlines;
   GridLineCache xlines;
 
-  LuRun(xsim::Machine& machine, const grid::Grid3D& grid, index_t size, index_t block)
+  LuRun(xsim::Machine& machine, const grid::Grid3D& grid, index_t size,
+        index_t block, ConstMatrixView<T> input)
       : m(machine),
         g(grid),
+        a(input),
         n(size),
         v(block),
         tracker(0, 1, 1),
@@ -351,7 +330,49 @@ struct LuRun {
                           static_cast<double>(npad - col1) *
                           static_cast<double>(sizeof(T)));
   }
+
+  // Step-loop hooks (factor/step_loop.hpp).
+  void init_state();
+  void save_payload(recover::SnapshotWriter& w, index_t t);
+  void restore_payload(recover::SnapshotReader& r, index_t t);
+  void abft_init(index_t t);
+  void abft_capture(index_t t) {
+    abft_row_sums<T>(0, nact, abft_panel,
+                     [&](index_t i) { return live_row(t, i).first(static_cast<std::size_t>(v)); });
+  }
+  void abft_verify(index_t t) {
+    verify_abft_rows<T>(t, 0, nact, abft_sum,
+                        [&](index_t i) { return live_row(t, i); }, "packed row");
+  }
+  T* bitflip_target(index_t t) { return nact > 0 ? &trail(0, t * v) : nullptr; }
+  void step(index_t t, StepCostRecorder& rec);
+
+  /// Packed row i's live trailing cells at step t: trail(i, t*v .. npad).
+  std::span<const T> live_row(index_t t, index_t i) const {
+    return {&trail(i, t * v), static_cast<std::size_t>(npad - t * v)};
+  }
 };
+
+/// (Re)initialize the whole packed data path from the input: also the
+/// rollback of last resort when ABFT detects corruption and no checkpoint
+/// exists.
+template <typename T>
+void LuRun<T>::init_state() {
+  umax = 0.0;
+  health = FactorHealth{};
+  health.min_pivot = std::numeric_limits<double>::infinity();
+  // One parallel first-touch pass writes all of trail and lstore.
+  amax = fill_workspace<T>(a, npad, /*lower=*/false, trail, &lstore);
+  nact = npad;
+  rowmap.resize(static_cast<std::size_t>(npad));
+  rowpos.resize(static_cast<std::size_t>(npad));
+  for (index_t i = 0; i < npad; ++i) {
+    rowmap[static_cast<std::size_t>(i)] = i;
+    rowpos[static_cast<std::size_t>(i)] = i;
+  }
+  tracker = RowTracker(npad, v, g.px());
+  perm_pad.clear();
+}
 
 // ---------------------------------------------------------------------------
 // Checkpoint/restart (DESIGN.md "Recovery model"). A snapshot captures the
@@ -364,159 +385,100 @@ struct LuRun {
 // ---------------------------------------------------------------------------
 
 template <typename T>
-recover::SnapshotKey lu_snapshot_key(const LuRun<T>& run) {
-  recover::SnapshotKey key;
-  key.kind = recover::FactorKind::kLu;
-  key.scalar = sizeof(T) == sizeof(double) ? 'd' : 'f';
-  key.n = static_cast<std::int64_t>(run.n);
-  key.v = static_cast<std::int64_t>(run.v);
-  key.px = run.g.px();
-  key.py = run.g.py();
-  key.pz = run.g.pz();
-  return key;
-}
-
-template <typename T>
-void save_lu_snapshot(LuRun<T>& run, index_t t,
-                      const std::vector<index_t>& perm_pad) {
-  recover::SnapshotWriter w(lu_snapshot_key(run), static_cast<std::int64_t>(t));
-  // At step 0 every byte of the state is a pure function of the input the
-  // resume entry point is handed anyway, so the snapshot is an empty marker
-  // — it proves "a resumable point exists" without serializing the full
-  // trailing matrix (the largest snapshot of the whole run, for free).
-  if (t == 0) {
-    recover::store_blob(lu_snapshot_key(run), std::move(w).seal());
-    return;
-  }
-  w.put_i64(static_cast<std::int64_t>(run.nact));
-  w.put_f64(run.amax);
-  w.put_f64(run.umax);
-  w.put_i64(static_cast<std::int64_t>(run.health.code));
-  w.put_i64(run.health.first_breakdown_step);
-  w.put_i64(run.health.singular_pivots);
-  w.put_i64(run.health.near_singular_pivots);
-  w.put_f64(run.health.growth_factor);
-  w.put_f64(run.health.min_pivot);
+void LuRun<T>::save_payload(recover::SnapshotWriter& w, index_t t) {
+  w.put_i64(static_cast<std::int64_t>(nact));
+  w.put_f64(amax);
+  w.put_f64(umax);
+  put_health(w, health);
   w.put_indices(perm_pad);
-  w.put_indices(run.rowmap);
-  w.put_indices(run.rowpos);
+  w.put_indices(rowmap);
+  w.put_indices(rowpos);
   // Trailing accumulator: only the live region (packed rows 0..nact, columns
   // t*v..npad) is ever read again. Rows are copied in parallel into their
   // fixed places in the payload (the byte order is the serial one).
-  const index_t col0 = t * run.v;
-  const auto live_bytes = static_cast<std::size_t>(run.npad - col0) * sizeof(T);
-  std::uint8_t* live = w.put_space(static_cast<std::size_t>(run.nact) * live_bytes);
-  sched::parallel_rows(run.nact, [&](index_t i) {
-    std::memcpy(live + static_cast<std::size_t>(i) * live_bytes, &run.trail(i, col0),
+  const index_t col0 = t * v;
+  const auto live_bytes = static_cast<std::size_t>(npad - col0) * sizeof(T);
+  std::uint8_t* live = w.put_space(static_cast<std::size_t>(nact) * live_bytes);
+  sched::parallel_rows(nact, [&](index_t i) {
+    std::memcpy(live + static_cast<std::size_t>(i) * live_bytes, &trail(i, col0),
                 live_bytes);
   });
   // Factor store: an eliminated row (rowpos < 0) carries its full final row
   // (L left of its pivot block, U from it rightwards); a surviving row has
   // only its first t*v columns written (the L panels of past steps).
-  std::vector<std::size_t> offset(static_cast<std::size_t>(run.npad) + 1, 0);
-  for (index_t r = 0; r < run.npad; ++r) {
-    const bool eliminated = run.rowpos[static_cast<std::size_t>(r)] < 0;
-    const index_t cols = eliminated ? run.npad : col0;
+  std::vector<std::size_t> offset(static_cast<std::size_t>(npad) + 1, 0);
+  for (index_t r = 0; r < npad; ++r) {
+    const bool eliminated = rowpos[static_cast<std::size_t>(r)] < 0;
+    const index_t cols = eliminated ? npad : col0;
     offset[static_cast<std::size_t>(r) + 1] =
         offset[static_cast<std::size_t>(r)] + static_cast<std::size_t>(cols) * sizeof(T);
   }
   std::uint8_t* store = w.put_space(offset.back());
-  sched::parallel_rows(run.npad, [&](index_t r) {
+  sched::parallel_rows(npad, [&](index_t r) {
     const auto ri = static_cast<std::size_t>(r);
-    std::memcpy(store + offset[ri], &run.lstore(r, 0), offset[ri + 1] - offset[ri]);
+    std::memcpy(store + offset[ri], &lstore(r, 0), offset[ri + 1] - offset[ri]);
   });
-  recover::store_blob(lu_snapshot_key(run), std::move(w).seal());
 }
 
-/// Restore the latest snapshot into `run` (whose buffers were freshly
-/// initialized from the input) and return the step to resume from. Every
-/// structural invariant of the payload is validated — a corrupt or
-/// semantically inconsistent snapshot throws kCheckpointInvalid rather than
-/// walking out of bounds later.
+/// Every structural invariant of the payload is validated: a semantically
+/// inconsistent snapshot is as invalid as a corrupt one.
 template <typename T>
-index_t restore_lu_snapshot(LuRun<T>& run, std::vector<index_t>& perm_pad) {
-  const recover::SnapshotKey key = lu_snapshot_key(run);
-  const auto bad = [](const std::string& what) {
-    throw status_error(Status(StatusCode::kCheckpointInvalid, what));
-  };
-  const recover::Blob blob = recover::latest_blob(key);
-  if (blob.empty()) bad("no checkpoint to resume " + key.to_string() + " from");
-  recover::SnapshotReader r(key, blob);
-  const auto t = static_cast<index_t>(r.step());
-  if (t >= run.num_tiles) bad("snapshot step past the end of the schedule");
-  // A step-0 snapshot is an empty marker: the caller owns re-deriving the
-  // state from the input (the resume entry already initialized it; the
-  // in-run rollback path re-runs its init explicitly).
-  if (t == 0) {
-    if (r.remaining() != 0) bad("step-0 snapshot must be an empty marker");
-    return 0;
+void LuRun<T>::restore_payload(recover::SnapshotReader& r, index_t t) {
+  nact = static_cast<index_t>(r.get_i64());
+  if (nact != npad - t * v) {
+    snapshot_invalid("snapshot active-row count inconsistent with its step");
   }
-  run.nact = static_cast<index_t>(r.get_i64());
-  if (run.nact != run.npad - t * run.v) {
-    bad("snapshot active-row count inconsistent with its step");
-  }
-  run.amax = r.get_f64();
-  run.umax = r.get_f64();
-  const auto code = static_cast<StatusCode>(r.get_i64());
-  if (code != StatusCode::kOk && breakdown_severity(code) == 0) {
-    bad("snapshot health carries a code no factorization records");
-  }
-  run.health.code = code;
-  run.health.first_breakdown_step = r.get_i64();
-  run.health.singular_pivots = r.get_i64();
-  run.health.near_singular_pivots = r.get_i64();
-  run.health.growth_factor = r.get_f64();
-  run.health.min_pivot = r.get_f64();
+  amax = r.get_f64();
+  umax = r.get_f64();
+  health = get_health(r, {StatusCode::kSingularPivot, StatusCode::kGrowthOverflow,
+                          StatusCode::kNearSingularPivot});
   perm_pad = r.get_indices();
-  if (static_cast<index_t>(perm_pad.size()) != t * run.v) {
-    bad("snapshot elimination record does not match its step");
+  if (static_cast<index_t>(perm_pad.size()) != t * v) {
+    snapshot_invalid("snapshot elimination record does not match its step");
   }
   for (index_t row : perm_pad) {
-    if (row < 0 || row >= run.npad) bad("snapshot pivot row out of range");
+    if (row < 0 || row >= npad) snapshot_invalid("snapshot pivot row out of range");
   }
-  run.rowmap = r.get_indices();
-  run.rowpos = r.get_indices();
-  if (static_cast<index_t>(run.rowmap.size()) != run.npad ||
-      static_cast<index_t>(run.rowpos.size()) != run.npad) {
-    bad("snapshot row maps have the wrong shape");
+  rowmap = r.get_indices();
+  rowpos = r.get_indices();
+  if (static_cast<index_t>(rowmap.size()) != npad ||
+      static_cast<index_t>(rowpos.size()) != npad) {
+    snapshot_invalid("snapshot row maps have the wrong shape");
   }
-  for (index_t i = 0; i < run.nact; ++i) {
-    const index_t row = run.rowmap[static_cast<std::size_t>(i)];
-    if (row < 0 || row >= run.npad ||
-        run.rowpos[static_cast<std::size_t>(row)] != i) {
-      bad("snapshot row maps are not a consistent bijection");
+  for (index_t i = 0; i < nact; ++i) {
+    const index_t row = rowmap[static_cast<std::size_t>(i)];
+    if (row < 0 || row >= npad || rowpos[static_cast<std::size_t>(row)] != i) {
+      snapshot_invalid("snapshot row maps are not a consistent bijection");
     }
   }
-  for (index_t row = 0; row < run.npad; ++row) {
-    const index_t pos = run.rowpos[static_cast<std::size_t>(row)];
-    if (pos >= run.nact) bad("snapshot row position outside the live region");
+  for (index_t row = 0; row < npad; ++row) {
+    const index_t pos = rowpos[static_cast<std::size_t>(row)];
+    if (pos >= nact) snapshot_invalid("snapshot row position outside the live region");
   }
-  const index_t col0 = t * run.v;
-  const auto live_bytes = static_cast<std::size_t>(run.npad - col0) * sizeof(T);
-  for (index_t i = 0; i < run.nact; ++i) {
-    r.get_bytes(&run.trail(i, col0), live_bytes);
+  const index_t col0 = t * v;
+  const auto live_bytes = static_cast<std::size_t>(npad - col0) * sizeof(T);
+  for (index_t i = 0; i < nact; ++i) {
+    r.get_bytes(&trail(i, col0), live_bytes);
   }
-  for (index_t row = 0; row < run.npad; ++row) {
-    const bool eliminated = run.rowpos[static_cast<std::size_t>(row)] < 0;
-    const index_t cols = eliminated ? run.npad : col0;
+  for (index_t row = 0; row < npad; ++row) {
+    const bool eliminated = rowpos[static_cast<std::size_t>(row)] < 0;
+    const index_t cols = eliminated ? npad : col0;
     if (cols > 0) {
-      r.get_bytes(&run.lstore(row, 0), static_cast<std::size_t>(cols) * sizeof(T));
+      r.get_bytes(&lstore(row, 0), static_cast<std::size_t>(cols) * sizeof(T));
     }
   }
   // The tracker is a pure function of the elimination order: replay it in
   // the recorded v-row steps.
-  run.tracker = RowTracker(run.npad, run.v, run.g.px());
+  tracker = RowTracker(npad, v, g.px());
   std::vector<index_t> chunk;
-  chunk.reserve(static_cast<std::size_t>(run.v));
+  chunk.reserve(static_cast<std::size_t>(v));
   for (index_t s = 0; s < t; ++s) {
-    chunk.assign(perm_pad.begin() + s * run.v,
-                 perm_pad.begin() + (s + 1) * run.v);
-    run.tracker.eliminate(chunk);
+    chunk.assign(perm_pad.begin() + s * v, perm_pad.begin() + (s + 1) * v);
+    tracker.eliminate(chunk);
   }
-  if (run.tracker.active_count() != run.nact) {
-    bad("snapshot elimination record inconsistent with its row maps");
+  if (tracker.active_count() != nact) {
+    snapshot_invalid("snapshot elimination record inconsistent with its row maps");
   }
-  return t;
 }
 
 // ---------------------------------------------------------------------------
@@ -535,30 +497,13 @@ index_t restore_lu_snapshot(LuRun<T>& run, std::vector<index_t>& perm_pad) {
 // the same bits at any width.
 
 template <typename T>
-void init_abft_sums(LuRun<T>& run, index_t t) {
-  run.abft_sum.assign(static_cast<std::size_t>(run.npad), 0.0);
-  run.abft_panel.assign(static_cast<std::size_t>(run.npad), 0.0);
-  run.abft_urow.assign(static_cast<std::size_t>(run.v), 0.0);
-  const index_t col0 = t * run.v;
-  const index_t width = run.npad - col0;
-  sched::parallel_rows(run.nact, [&](index_t i) {
-    const T* row = &run.trail(i, col0);
-    double s = 0.0;
-    for (index_t j = 0; j < width; ++j) s += static_cast<double>(row[j]);
-    run.abft_sum[static_cast<std::size_t>(i)] = s;
-  });
+void LuRun<T>::abft_init(index_t t) {
+  abft_sum.assign(static_cast<std::size_t>(npad), 0.0);
+  abft_panel.assign(static_cast<std::size_t>(npad), 0.0);
+  abft_urow.assign(static_cast<std::size_t>(v), 0.0);
+  abft_row_sums<T>(0, nact, abft_sum, [&](index_t i) { return live_row(t, i); });
 }
 
-template <typename T>
-void capture_abft_panel(LuRun<T>& run, index_t t) {
-  const index_t col0 = t * run.v;
-  sched::parallel_rows(run.nact, [&](index_t i) {
-    const T* row = &run.trail(i, col0);
-    double s = 0.0;
-    for (index_t j = 0; j < run.v; ++j) s += static_cast<double>(row[j]);
-    run.abft_panel[static_cast<std::size_t>(i)] = s;
-  });
-}
 
 /// Roll the predicted sums forward across this step's Schur update. Must run
 /// after the A10 trsm (the live panel columns now hold the solved L values)
@@ -585,89 +530,6 @@ void apply_abft_update(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows,
     run.abft_sum[static_cast<std::size_t>(i)] -=
         run.abft_panel[static_cast<std::size_t>(i)] + upd;
   });
-}
-
-/// Read-only verification of the invariant. The tolerance is deliberately
-/// loose — 5% of the row's absolute mass — because it only needs to separate
-/// rounding drift (orders of magnitude below it) from real corruption (the
-/// kBitflip site produces non-finite or grossly out-of-range values, which
-/// no tolerance admits; the negated comparison catches NaN).
-/// One row's verification scan. Four independent accumulator pairs break the
-/// add-latency dependency chain (the scan is bandwidth-bound, not
-/// order-sensitive: the comparison is against a 5% tolerance, never bitwise).
-template <typename T>
-bool abft_row_ok(const T* row, index_t width, double predicted) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  double m0 = 0.0, m1 = 0.0, m2 = 0.0, m3 = 0.0;
-  index_t j = 0;
-  for (; j + 4 <= width; j += 4) {
-    const double x0 = static_cast<double>(row[j]);
-    const double x1 = static_cast<double>(row[j + 1]);
-    const double x2 = static_cast<double>(row[j + 2]);
-    const double x3 = static_cast<double>(row[j + 3]);
-    a0 += x0;
-    a1 += x1;
-    a2 += x2;
-    a3 += x3;
-    m0 += std::abs(x0);
-    m1 += std::abs(x1);
-    m2 += std::abs(x2);
-    m3 += std::abs(x3);
-  }
-  for (; j < width; ++j) {
-    const double x = static_cast<double>(row[j]);
-    a0 += x;
-    m0 += std::abs(x);
-  }
-  const double actual = (a0 + a1) + (a2 + a3);
-  const double mag = (m0 + m1) + (m2 + m3);
-  return std::abs(actual - predicted) <= 0.05 * (mag + 1.0);
-}
-
-template <typename T>
-void verify_abft(LuRun<T>& run, index_t t) {
-  g_abft_verified.add(1.0);
-  const index_t col0 = t * run.v;
-  const index_t width = run.npad - col0;
-  // The scan reads the whole live region every step — serial it alone would
-  // eat the bench's ABFT overhead budget at n=2048. The pool is drained at
-  // this point (the hook waits before verifying), so row chunks fan out
-  // across it; each row is scanned by exactly one task, so the verdict is
-  // identical at any thread count. The lowest bad packed row is reported.
-  constexpr index_t kRowsPerChunk = 128;
-  const index_t nchunks = (run.nact + kRowsPerChunk - 1) / kRowsPerChunk;
-  std::atomic<index_t> bad{run.nact};
-  sched::TaskPool::instance().parallel_for(nchunks, [&](index_t c) {
-    const index_t lo = c * kRowsPerChunk;
-    const index_t hi = std::min(run.nact, lo + kRowsPerChunk);
-    for (index_t i = lo; i < hi; ++i) {
-      if (abft_row_ok(&run.trail(i, col0), width,
-                      run.abft_sum[static_cast<std::size_t>(i)])) {
-        continue;
-      }
-      index_t seen = bad.load(std::memory_order_relaxed);
-      while (i < seen &&
-             !bad.compare_exchange_weak(seen, i, std::memory_order_relaxed)) {
-      }
-      break;
-    }
-  });
-  const index_t bad_row = bad.load(std::memory_order_relaxed);
-  if (bad_row < run.nact) {
-    g_abft_detected.add(1.0);
-    throw status_error(Status(
-        StatusCode::kDataCorruption,
-        "ABFT row-sum mismatch in the trailing accumulator (packed row " +
-            std::to_string(bad_row) + ")",
-        static_cast<long long>(t)));
-  }
-}
-
-// Approximate peer counts for the latency term of aggregated charges
-// (documented in DESIGN.md; only alpha-cost, not volume, depends on these).
-long long approx_msgs(index_t items, int peers) {
-  return std::min<long long>(static_cast<long long>(std::max<index_t>(items, 0)),
-                             static_cast<long long>(peers));
 }
 
 // ---------------------------------------------------------------------------
@@ -742,7 +604,7 @@ void tournament_pivot(LuRun<T>& run, index_t t) {
   // Local candidate selection per x-group: one simulated column owner per
   // task, each ranking its own rows out of its per-run scratch (disjoint
   // outputs, zero steady-state allocations). Panel values are read straight
-  // out of the packed workspace.
+  // out of the packed workspace, and each task flags a non-finite one.
   PivotScratch<T>& s = run.scr;
   for (int x = 0; x < px; ++x) {
     run.tracker.rows_for_x_into(x, s.xrows[static_cast<std::size_t>(x)]);
@@ -751,17 +613,21 @@ void tournament_pivot(LuRun<T>& run, index_t t) {
     const auto xi = static_cast<std::size_t>(x);
     const auto& rows = s.xrows[xi];
     const auto nrows = static_cast<index_t>(rows.size());
+    s.finite[xi] = 1;
     if (nrows == 0) {
       s.sets[xi].rows.clear();
       return;
     }
     Matrix<T>& gather = s.gather[xi];
+    bool finite = true;
     for (index_t i = 0; i < nrows; ++i) {
       const index_t pi = run.rowpos[static_cast<std::size_t>(rows[static_cast<std::size_t>(i)])];
       for (index_t j = 0; j < run.v; ++j) {
         gather(i, j) = run.trail(pi, t * run.v + j);
+        finite = finite && std::isfinite(static_cast<double>(gather(i, j)));
       }
     }
+    s.finite[xi] = finite ? 1 : 0;
     // Panel columns read out of the trailing accumulator + gather write.
     g_dm_panel_gather.add(static_cast<double>(nrows) * 2.0 *
                           static_cast<double>(run.v) *
@@ -769,25 +635,15 @@ void tournament_pivot(LuRun<T>& run, index_t t) {
     select_candidates<T>(rows, nrows, run.v, run.v, gather, s.rankwork[xi],
                          s.xipiv[xi], s.xperm[xi], s.sets[xi]);
   });
-  // Hard-breakdown scan of the gathered panel (read-only; the gathers are
-  // preserved — selection ranks a copy). A non-finite value here — an
-  // overflowed Schur accumulation, a contaminated input that survived to
-  // this column, or an injected poison — would otherwise rank arbitrarily
-  // and propagate silently into the factors.
-  for (int x = 0; x < px; ++x) {
-    const auto xi = static_cast<std::size_t>(x);
-    const auto nrows = static_cast<index_t>(s.xrows[xi].size());
-    const Matrix<T>& gather = s.gather[xi];
-    for (index_t i = 0; i < nrows; ++i) {
-      for (index_t j = 0; j < run.v; ++j) {
-        if (!std::isfinite(static_cast<double>(gather(i, j)))) {
-          throw status_error(Status(
-              StatusCode::kNonFinite,
-              "non-finite value in the panel entering tournament pivoting",
-              static_cast<long long>(t)));
-        }
-      }
-    }
+  // Hard breakdown, thrown here on the calling thread (never from inside
+  // the pool). A non-finite value in the panel — an overflowed Schur
+  // accumulation, a contaminated input that survived to this column, or an
+  // injected poison — would otherwise rank arbitrarily and propagate
+  // silently into the factors.
+  if (std::find(s.finite.begin(), s.finite.end(), 0) != s.finite.end()) {
+    throw status_error(Status(StatusCode::kNonFinite,
+                              "non-finite value in the panel entering tournament pivoting",
+                              static_cast<long long>(t)));
   }
   // Merge rounds along the accumulation tree of rank 0. The full butterfly
   // computes px/2 merges per round on every rank, but only the binomial
@@ -942,7 +798,7 @@ void reduce_pivot_rows(LuRun<T>& run, index_t t, MatrixView<T>* pivotrows) {
     }
   }
   if (run.real && ncols > 0) {
-    if (run.la) sched::TaskPool::instance().wait(run.lazy_ids);
+    run.tasks.wait_lazy();
     *pivotrows = run.ws.template mat<T>(
         (t & 1) != 0 ? kPivotRows1 : kPivotRows0, run.v, ncols);
     sched::TaskPool::instance().parallel_for(run.v, [&](index_t l) {
@@ -1066,8 +922,8 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
     }
   }
 
-  run.urgent_ids.clear();
-  run.lazy_ids.clear();
+  run.tasks.urgent.clear();
+  run.tasks.lazy.clear();
   if (run.real && ncols > 0 && run.nact > 0) {
     const index_t nact = run.nact;
     ConstMatrixView<T> a10 = run.trail.block(0, t * run.v, nact, run.v);
@@ -1106,33 +962,200 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
                      pivotrows.block(0, run.v, run.v, lcols), T{1},
                      run.trail.block(i0, (t + 1) * run.v + run.v, bn, lcols));
     };
-    sched::TaskPool& pool = sched::TaskPool::instance();
-    if (run.la) {
-      for (index_t blk = 0; blk < nblocks; ++blk) {
-        // Retryable: the injected transient fault fires before the body
-        // runs, so the beta=1 accumulation has not happened on a retried
-        // attempt and re-running it is exact.
-        run.urgent_ids.push_back(pool.submit([urgent_block, blk] { urgent_block(blk); },
-                                             "schur-urgent",
-                                             sched::TaskCategory::Urgent,
-                                             static_cast<long long>(t),
-                                             run.a10_ids, /*retryable=*/true));
-      }
-      if (lcols > 0) {
-        for (index_t blk = 0; blk < nblocks; ++blk) {
-          run.lazy_ids.push_back(pool.submit([lazy_block, blk] { lazy_block(blk); },
-                                             "schur-lazy",
-                                             sched::TaskCategory::Lazy,
-                                             static_cast<long long>(t),
-                                             run.a10_ids, /*retryable=*/true));
-        }
-      }
-    } else {
-      pool.parallel_for(nblocks, urgent_block);
-      if (lcols > 0) pool.parallel_for(nblocks, lazy_block);
+    run.tasks.launch(run.tasks.urgent, 0, nblocks, urgent_block, "schur-urgent",
+                     sched::TaskCategory::Urgent, t, run.tasks.panel);
+    if (lcols > 0) {
+      run.tasks.launch(run.tasks.lazy, 0, nblocks, lazy_block, "schur-lazy",
+                       sched::TaskCategory::Lazy, t, run.tasks.panel);
     }
   }
   run.m.step_barrier();
+}
+
+// The step body (sub-steps 1-11 above), run by the step loop after its
+// boundary hook.
+template <typename T>
+void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
+              [&] { reduce_block_column(*this, t); });
+
+  // The tournament reads only the urgent stripe the previous step's
+  // urgent tasks produced; the previous lazy remainder keeps running.
+  tasks.wait_urgent();
+  if (real && nact > 0 && fault::enabled() &&
+      fault::should_inject(fault::Site::kPanelNaN)) {
+    trail(0, t * v) = std::numeric_limits<T>::quiet_NaN();
+  }
+  rec.measure(&StepCosts::pivoting_words, &StepCosts::pivoting_flops,
+              [&] { tournament_pivot(*this, t); });
+  rec.measure(&StepCosts::a00_words, &StepCosts::a00_flops,
+              [&] { broadcast_a00(*this, t); });
+
+  if (real) {
+    // The winner rows' leading block is final: L below the diagonal and
+    // U on/above, both stored by global row (row masking, no swaps).
+    for (index_t l = 0; l < v; ++l) {
+      const index_t row = winners[static_cast<std::size_t>(l)];
+      for (index_t j = 0; j < v; ++j) lstore(row, t * v + j) = a00(l, j);
+    }
+    g_dm_panel_solve.add(2.0 * static_cast<double>(v) *
+                         static_cast<double>(v) *
+                         static_cast<double>(sizeof(T)));
+    for (index_t l = 0; l < v; ++l) {
+      for (index_t j = l; j < v; ++j) {
+        const double d = std::abs(static_cast<double>(a00(l, j)));
+        if (d > umax) umax = d;
+      }
+    }
+    // Capture the winners' packed slots (the pivot-row gather reads their
+    // lazy columns from here), then run the urgent retirement pass: the
+    // next panel's columns are complete, so the A10 solve can start while
+    // the previous step's lazy remainder is still landing.
+    winner_slots.clear();
+    for (index_t w : winners) {
+      winner_slots.push_back(rowpos[static_cast<std::size_t>(w)]);
+    }
+    retire_rows_urgent(t * v);
+  }
+  tracker.eliminate(winners);
+  perm_pad.insert(perm_pad.end(), winners.begin(), winners.end());
+
+  const index_t a10_rows = tracker.active_count();
+  const index_t ncols = (num_tiles - t - 1) * v;
+  std::fill(pivots_per_x.begin(), pivots_per_x.end(), 0);
+  for (index_t w : winners) {
+    ++pivots_per_x[static_cast<std::size_t>(tracker.x_of_row(w))];
+  }
+  if (real) {
+    check(nact == a10_rows, "packed workspace out of sync with tracker");
+  }
+
+  // Steps 7 and 9 (real work): the 1D panel trsms, decomposed the way the
+  // schedule distributes them — one chunk of A10 rows and one chunk of
+  // A01 columns per simulated rank (row/column chunks of a triangular
+  // solve are exact: Right-side solves are row-independent, Left-side
+  // column-independent). A10 is solved IN PLACE in the packed workspace:
+  // the solved values are both this step's L columns (copied to lstore)
+  // and the Schur update's left operand. With lookahead the A10 chunks go
+  // to the pool NOW — before the master blocks on the previous lazy
+  // remainder — because they only touch the urgent stripe.
+  sched::TaskPool& pool = sched::TaskPool::instance();
+  const int p = m.ranks();
+  MatrixView<T> a10 = real ? trail.block(0, t * v, nact, v) : MatrixView<T>();
+  const auto a10_chunk = [this, a10, a10_rows, p, t](index_t r) {
+    const index_t lo = chunk_offset(a10_rows, p, static_cast<int>(r));
+    const index_t cnt = chunk_size(a10_rows, p, static_cast<int>(r));
+    if (cnt == 0) return;
+    // A10 <- A10 * U00^{-1}: final L columns of the surviving rows.
+    xblas::trsm<T>(Side::Right, UpLo::Upper, Trans::None, Diag::NonUnit,
+                   T{1}, a00.view(), a10.block(lo, 0, cnt, v));
+    for (index_t i = lo; i < lo + cnt; ++i) {
+      const index_t row = rowmap[static_cast<std::size_t>(i)];
+      for (index_t j = 0; j < v; ++j) lstore(row, t * v + j) = a10(i, j);
+    }
+    // trsm read+write of the chunk, the U00 operand, and the lstore copy.
+    g_dm_panel_solve.add(
+        (4.0 * static_cast<double>(cnt) * static_cast<double>(v) +
+         static_cast<double>(v) * static_cast<double>(v)) *
+        static_cast<double>(sizeof(T)));
+  };
+  tasks.panel.clear();
+  if (real && tasks.la && a10_rows > 0) {
+    tasks.launch(tasks.panel, 0, p, a10_chunk, "panel-trsm-a10",
+                 sched::TaskCategory::Other, t, {});
+  }
+
+  // Step 4: scatter A10; step 5: reduce pivot rows; step 6: scatter A01.
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
+    scatter_panel_1d(*this, t, /*row_panel=*/true, a10_rows, pivots_per_x);
+  });
+  MatrixView<T> pivotrows;
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
+              [&] { reduce_pivot_rows(*this, t, &pivotrows); });
+  if (real && ncols > 0) {
+    // The winners' packed rows are fully consumed (a00 via the
+    // tournament, trailing columns via the gather above): replay the
+    // retirement swaps on the lazy columns (the last step has none), so
+    // the Schur update below sees one contiguous block of survivor rows.
+    retire_rows_lazy((t + 1) * v);
+  }
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
+    scatter_panel_1d(*this, t, /*row_panel=*/false, ncols, pivots_per_x);
+  });
+
+  // Steps 7 and 9 (charges): the two panel trsms.
+  rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
+    prof::ScopedSpan span("panel-trsm", static_cast<long long>(t));
+    m.annotate("panel-trsm");
+    for (int r = 0; r < p; ++r) {
+      const double rows_r = static_cast<double>(chunk_size(a10_rows, p, r));
+      const double cols_r = static_cast<double>(chunk_size(ncols, p, r));
+      const auto vv = static_cast<double>(v);
+      if (rows_r > 0) m.charge_flops(r, rows_r * vv * vv);
+      if (cols_r > 0) m.charge_flops(r, cols_r * vv * vv);
+    }
+    if (real) {
+      if (!tasks.la && a10_rows > 0) {
+        pool.parallel_for(p, a10_chunk);
+      }
+      if (ncols > 0) {
+        // A01 <- L00^{-1} * A01: final U rows of the pivots. Each chunk
+        // then scans its solved columns read-only (non-finite flag and
+        // max|U| for the growth factor) while they are still in cache.
+        pool.parallel_for(p, [&](index_t r) {
+          const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
+          const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
+          MagnitudeScan scan;
+          if (cnt > 0) {
+            xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
+                           T{1}, a00.view(), pivotrows.block(0, lo, v, cnt));
+            for (index_t l = 0; l < v; ++l) scan.add(pivotrows.row(l) + lo, cnt);
+          }
+          uscan[static_cast<std::size_t>(r)] = scan;
+        });
+        pool.parallel_for(v, [&](index_t l) {
+          const index_t row = winners[static_cast<std::size_t>(l)];
+          for (index_t j = 0; j < ncols; ++j) {
+            lstore(row, (t + 1) * v + j) = pivotrows(l, j);
+          }
+        });
+        // A01 trsm read+write, the L00 operand, and the lstore copy.
+        g_dm_panel_solve.add(
+            (4.0 * static_cast<double>(v) * static_cast<double>(ncols) +
+             static_cast<double>(v) * static_cast<double>(v)) *
+            static_cast<double>(sizeof(T)));
+        // Reduce the chunk scans on the master: hard error on a
+        // non-finite value, running max|U| for the growth factor.
+        MagnitudeScan total;
+        for (const MagnitudeScan& c : uscan) total.merge(c);
+        if (!total.finite) {
+          throw status_error(Status(StatusCode::kNonFinite,
+                                    "non-finite value in the factored pivot rows",
+                                    static_cast<long long>(t)));
+        }
+        if (total.amax > umax) umax = total.amax;
+      }
+    }
+    m.step_barrier();
+  });
+  if (real && amax > 0.0 && umax > growth_lim * amax &&
+      health.code != StatusCode::kGrowthOverflow) {
+    soft_breakdown(StatusCode::kGrowthOverflow, t);
+  }
+  if (abft) {
+    // Advance the row-sum checksums to cover the post-update trailing
+    // accumulator: sum'[i] = sum[i] - panel[i] - (solved A10 row i)·urow.
+    // The solved A10 chunks feed both this and the Schur tasks, so with
+    // lookahead they must all have landed in lstore first.
+    tasks.wait_panel();
+    apply_abft_update<T>(*this, t, pivotrows, ncols);
+  }
+
+  // Steps 8 and 10: 2.5D distribution; step 11: the Schur update.
+  rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
+              [&] { distribute_panels_2p5d(*this, t, a10_rows); });
+  rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
+              [&] { update_a11<T>(*this, t, pivotrows); });
 }
 
 template <typename T>
@@ -1144,12 +1167,9 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   index_t v = opt.block_size > 0 ? opt.block_size : default_block_size(n, g);
   expects(v % g.pz() == 0, "block size must be a multiple of the layer count");
 
-  LuRun<T> run(m, g, n, v);
+  LuRun<T> run(m, g, n, v, a);
   run.trace_rng.reseed(opt.trace_pivot_seed);
-  run.la = run.real && lookahead_enabled(opt);
   const index_t npad = run.npad;
-  const index_t num_tiles = run.num_tiles;
-  sched::TaskPool& pool = sched::TaskPool::instance();
 
   // Memory accounting: every rank holds its layer's share of the tile grid
   // (npad^2 * c / P words total across layers) plus panel buffers.
@@ -1159,59 +1179,16 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   const double panel_words = 3.0 * static_cast<double>(npad * v) /
                                  static_cast<double>(m.ranks()) +
                              static_cast<double>(v * v);
-  for (int r = 0; r < m.ranks(); ++r) m.alloc(r, tile_words + panel_words);
+  StepLoop loop(m, opt, run.real, tile_words + panel_words, run.tasks);
 
-  // Release the machine's memory accounting on every exit path, and on an
-  // error unwind first drain the pool: in-flight lookahead tasks reference
-  // run state (trail, a00, pivot-row workspace) that is about to be
-  // destroyed. Declared after `run`, so it drains before run's teardown.
-  struct MachineLease {
-    xsim::Machine& m;
-    double words;
-    bool la;
-    ~MachineLease() {
-      if (la && std::uncaught_exceptions() > 0) {
-        try {
-          sched::TaskPool::instance().wait_all();
-        } catch (...) {
-          // The primary error is already unwinding; pool errors were either
-          // it or its cascade.
-        }
-      }
-      for (int r = 0; r < m.ranks(); ++r) m.release(r, words);
-    }
-  } lease{m, tile_words + panel_words, run.la};
-
-  std::vector<index_t> perm_pad;
-  perm_pad.reserve(static_cast<std::size_t>(npad));
-
-  // (Re)initialize the whole packed data path from the input: also the
-  // rollback of last resort when ABFT detects corruption and no checkpoint
-  // exists — the caller's view of `a` is untouched by the run.
-  const auto init_packed_state = [&] {
-    run.umax = 0.0;
-    run.health = FactorHealth{};
-    run.health.min_pivot = std::numeric_limits<double>::infinity();
-    // One parallel first-touch pass writes all of trail and lstore.
-    run.amax = fill_workspace<T>(a, npad, /*lower=*/false, run.trail, &run.lstore);
-    run.nact = npad;
-    run.rowmap.resize(static_cast<std::size_t>(npad));
-    run.rowpos.resize(static_cast<std::size_t>(npad));
-    for (index_t i = 0; i < npad; ++i) {
-      run.rowmap[static_cast<std::size_t>(i)] = i;
-      run.rowpos[static_cast<std::size_t>(i)] = i;
-    }
-    run.tracker = RowTracker(npad, v, g.px());
-    perm_pad.clear();
-  };
-
+  run.perm_pad.reserve(static_cast<std::size_t>(npad));
   if (run.real) {
     prof::ScopedSpan span("factor-setup");
     expects(a.rows() == n && a.cols() == n, "matrix must be square");
     run.pivot_tol = opt.pivot_tolerance;
     run.growth_lim =
         opt.growth_limit > 0.0 ? opt.growth_limit : default_growth_limit<T>();
-    init_packed_state();
+    run.init_state();
     // Size every per-step scratch buffer at its step-0 high-water mark:
     // the steady state of the factorization allocates nothing (asserted in
     // packed_factor_test).
@@ -1223,6 +1200,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     PivotScratch<T>& s = run.scr;
     s.xrows.resize(px);
     s.gather.resize(px);
+    s.finite.resize(px);
     s.rankwork.resize(px);
     s.xipiv.resize(px);
     s.xperm.resize(px);
@@ -1248,23 +1226,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
     run.uscan.resize(static_cast<std::size_t>(m.ranks()));
   }
   run.pivots_per_x.assign(static_cast<std::size_t>(g.px()), 0);
-
-  LuResultT<T> result;
-  StepCostRecorder rec(m, opt.record_step_costs);
-
-  // Recovery configuration (recover/options.hpp): resolved once per run, so
-  // a mid-run configure() cannot tear the checkpoint cadence.
-  const recover::Options ropt = recover::options();
-  const bool ckpt_on = run.real && ropt.ckpt_every > 0;
-  run.abft = run.real && ropt.abft;
-
-  index_t t0 = 0;
-  if (resume) {
-    expects(run.real, "resume requires Real mode");
-    t0 = restore_lu_snapshot(run, perm_pad);
-    g_ckpt_restores.add(1.0);
-  }
-  if (run.abft) init_abft_sums(run, t0);
+  run.abft = loop.abft();
 
   // Dependency-chain rounds per outer iteration (latency model): two layer
   // reductions, the tournament butterfly, the A00 broadcast, and the four
@@ -1275,286 +1237,19 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
       2.0 * std::ceil(std::log2(static_cast<double>(std::max(2, g.px())))) +
       std::ceil(std::log2(static_cast<double>(std::max(2, m.ranks())))) + 4.0;
 
-  // Step loop with in-run recovery: ABFT-detected corruption rolls back to
-  // the last checkpoint (or to the input) and re-executes — bounded by
-  // kMaxAbftReexecs so persistent corruption still surfaces. Every other
-  // error, including the injected kCrashSimulated, unwinds normally; the
-  // resume_* entry points restart a crashed run from its snapshot.
-  index_t t = t0;
-  int reexecs_left = kMaxAbftReexecs;
-  while (t < num_tiles) {
-  try {
-    if (run.real) {
-      // Step-boundary recovery hook. Checkpoint and verification both need
-      // the state they read to be quiescent, so with lookahead the pipeline
-      // drains first — the one scheduling difference ABFT/checkpointing
-      // introduce; the computed values are untouched, so healthy factors
-      // stay bitwise identical with either feature on or off.
-      const bool ckpt_due = ckpt_on && t % ropt.ckpt_every == 0;
-      // Checksums are maintained every step, but the full sweep re-reads the
-      // whole live region — at bandwidth that alone can cost more than the
-      // 10% overhead budget — so verification runs every abft_every steps.
-      const bool verifying = run.abft && t > 0 && t % ropt.abft_every == 0;
-      if ((ckpt_due || verifying) && run.la) {
-        pool.wait(run.a10_ids);
-        pool.wait(run.urgent_ids);
-        pool.wait(run.lazy_ids);
-      } else if (run.abft && run.la) {
-        // Maintenance-only step: capture_abft_panel below reads just the
-        // urgent stripe, produced by the previous step's urgent tasks; the
-        // lazy remainder and A10 solves keep running behind it.
-        pool.wait(run.urgent_ids);
-      }
-      if (verifying) {
-        if (fault::enabled() && run.nact > 0 &&
-            fault::should_inject(fault::Site::kBitflip)) {
-          run.trail(0, t * v) = recover::flip_high_bit(run.trail(0, t * v));
-        }
-        verify_abft(run, t);
-      }
-      if (ckpt_due) {
-        const auto c0 = std::chrono::steady_clock::now();
-        save_lu_snapshot(run, t, perm_pad);
-        g_ckpt_seconds.add(std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() - c0)
-                               .count());
-      }
-      // The crash fires AFTER the save, so with ckpt_every == 1 every crash
-      // step is resumable — the save->kill->resume loop of recover_test.
-      if (fault::enabled() && fault::should_inject(fault::Site::kCrashAtStep)) {
-        throw status_error(Status(StatusCode::kCrashSimulated,
-                                  "injected crash at a step boundary",
-                                  static_cast<long long>(t)));
-      }
-      if (run.abft) capture_abft_panel(run, t);
-    }
-
-    m.charge_chain(chain_per_step);
-    rec.begin_iteration();
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
-                [&] { reduce_block_column(run, t); });
-
-    // The tournament reads only the urgent stripe the previous step's
-    // urgent tasks produced; the previous lazy remainder keeps running.
-    if (run.la) pool.wait(run.urgent_ids);
-    if (run.real && run.nact > 0 && fault::enabled() &&
-        fault::should_inject(fault::Site::kPanelNaN)) {
-      run.trail(0, t * v) = std::numeric_limits<T>::quiet_NaN();
-    }
-    rec.measure(&StepCosts::pivoting_words, &StepCosts::pivoting_flops,
-                [&] { tournament_pivot(run, t); });
-    rec.measure(&StepCosts::a00_words, &StepCosts::a00_flops,
-                [&] { broadcast_a00(run, t); });
-
-    if (run.real) {
-      // The winner rows' leading block is final: L below the diagonal and
-      // U on/above, both stored by global row (row masking, no swaps).
-      for (index_t l = 0; l < v; ++l) {
-        const index_t row = run.winners[static_cast<std::size_t>(l)];
-        for (index_t j = 0; j < v; ++j) run.lstore(row, t * v + j) = run.a00(l, j);
-      }
-      g_dm_panel_solve.add(2.0 * static_cast<double>(v) *
-                           static_cast<double>(v) *
-                           static_cast<double>(sizeof(T)));
-      for (index_t l = 0; l < v; ++l) {
-        for (index_t j = l; j < v; ++j) {
-          const double d = std::abs(static_cast<double>(run.a00(l, j)));
-          if (d > run.umax) run.umax = d;
-        }
-      }
-      // Capture the winners' packed slots (the pivot-row gather reads their
-      // lazy columns from here), then run the urgent retirement pass: the
-      // next panel's columns are complete, so the A10 solve can start while
-      // the previous step's lazy remainder is still landing.
-      run.winner_slots.clear();
-      for (index_t w : run.winners) {
-        run.winner_slots.push_back(run.rowpos[static_cast<std::size_t>(w)]);
-      }
-      run.retire_rows_urgent(t * v);
-    }
-    run.tracker.eliminate(run.winners);
-    perm_pad.insert(perm_pad.end(), run.winners.begin(), run.winners.end());
-
-    const index_t a10_rows = run.tracker.active_count();
-    const index_t ncols = (num_tiles - t - 1) * v;
-    std::fill(run.pivots_per_x.begin(), run.pivots_per_x.end(), 0);
-    for (index_t w : run.winners) {
-      ++run.pivots_per_x[static_cast<std::size_t>(run.tracker.x_of_row(w))];
-    }
-    if (run.real) {
-      check(run.nact == a10_rows, "packed workspace out of sync with tracker");
-    }
-
-    // Steps 7 and 9 (real work): the 1D panel trsms, decomposed the way the
-    // schedule distributes them — one chunk of A10 rows and one chunk of
-    // A01 columns per simulated rank (row/column chunks of a triangular
-    // solve are exact: Right-side solves are row-independent, Left-side
-    // column-independent). A10 is solved IN PLACE in the packed workspace:
-    // the solved values are both this step's L columns (copied to lstore)
-    // and the Schur update's left operand. With lookahead the A10 chunks go
-    // to the pool NOW — before the master blocks on the previous lazy
-    // remainder — because they only touch the urgent stripe.
-    const int p = m.ranks();
-    MatrixView<T> a10 = run.real
-                            ? run.trail.block(0, t * v, run.nact, v)
-                            : MatrixView<T>();
-    const auto a10_chunk = [&run, a10, a10_rows, p, t, v](index_t r) {
-      const index_t lo = chunk_offset(a10_rows, p, static_cast<int>(r));
-      const index_t cnt = chunk_size(a10_rows, p, static_cast<int>(r));
-      if (cnt == 0) return;
-      // A10 <- A10 * U00^{-1}: final L columns of the surviving rows.
-      xblas::trsm<T>(Side::Right, UpLo::Upper, Trans::None, Diag::NonUnit,
-                     T{1}, run.a00.view(), a10.block(lo, 0, cnt, v));
-      for (index_t i = lo; i < lo + cnt; ++i) {
-        const index_t row = run.rowmap[static_cast<std::size_t>(i)];
-        for (index_t j = 0; j < v; ++j) run.lstore(row, t * v + j) = a10(i, j);
-      }
-      // trsm read+write of the chunk, the U00 operand, and the lstore copy.
-      g_dm_panel_solve.add(
-          (4.0 * static_cast<double>(cnt) * static_cast<double>(v) +
-           static_cast<double>(v) * static_cast<double>(v)) *
-          static_cast<double>(sizeof(T)));
-    };
-    run.a10_ids.clear();
-    if (run.real && run.la && a10_rows > 0) {
-      for (int r = 0; r < p; ++r) {
-        run.a10_ids.push_back(pool.submit(
-            [a10_chunk, r] { a10_chunk(static_cast<index_t>(r)); },
-            "panel-trsm-a10", sched::TaskCategory::Other,
-            static_cast<long long>(t), nullptr, 0, /*retryable=*/true));
-      }
-    }
-
-    // Step 4: scatter A10; step 5: reduce pivot rows; step 6: scatter A01.
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
-      scatter_panel_1d(run, t, /*row_panel=*/true, a10_rows, run.pivots_per_x);
-    });
-    MatrixView<T> pivotrows;
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
-                [&] { reduce_pivot_rows(run, t, &pivotrows); });
-    if (run.real) {
-      // The winners' packed rows are fully consumed (a00 via the
-      // tournament, trailing columns via the gather above): replay the
-      // retirement swaps on the lazy columns, so the Schur update below
-      // sees one contiguous block of survivor rows.
-      run.retire_rows_lazy((t + 1) * v);
-    }
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
-      scatter_panel_1d(run, t, /*row_panel=*/false, ncols, run.pivots_per_x);
-    });
-
-    // Steps 7 and 9 (charges): the two panel trsms.
-    rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
-      prof::ScopedSpan span("panel-trsm", static_cast<long long>(t));
-      m.annotate("panel-trsm");
-      for (int r = 0; r < p; ++r) {
-        const double rows_r = static_cast<double>(chunk_size(a10_rows, p, r));
-        const double cols_r = static_cast<double>(chunk_size(ncols, p, r));
-        const auto vv = static_cast<double>(v);
-        if (rows_r > 0) m.charge_flops(r, rows_r * vv * vv);
-        if (cols_r > 0) m.charge_flops(r, cols_r * vv * vv);
-      }
-      if (run.real) {
-        if (!run.la && a10_rows > 0) {
-          pool.parallel_for(p, a10_chunk);
-        }
-        if (ncols > 0) {
-          // A01 <- L00^{-1} * A01: final U rows of the pivots. Each chunk
-          // then scans its solved columns read-only (non-finite flag and
-          // max|U| for the growth factor) while they are still in cache.
-          pool.parallel_for(p, [&](index_t r) {
-            const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
-            const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
-            MagnitudeScan scan;
-            if (cnt > 0) {
-              xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
-                             T{1}, run.a00.view(), pivotrows.block(0, lo, v, cnt));
-              for (index_t l = 0; l < v; ++l) scan.add(pivotrows.row(l) + lo, cnt);
-            }
-            run.uscan[static_cast<std::size_t>(r)] = scan;
-          });
-          pool.parallel_for(v, [&](index_t l) {
-            const index_t row = run.winners[static_cast<std::size_t>(l)];
-            for (index_t j = 0; j < ncols; ++j) {
-              run.lstore(row, (t + 1) * v + j) = pivotrows(l, j);
-            }
-          });
-          // A01 trsm read+write, the L00 operand, and the lstore copy.
-          g_dm_panel_solve.add(
-              (4.0 * static_cast<double>(v) * static_cast<double>(ncols) +
-               static_cast<double>(v) * static_cast<double>(v)) *
-              static_cast<double>(sizeof(T)));
-          // Reduce the chunk scans on the master: hard error on a
-          // non-finite value, running max|U| for the growth factor.
-          MagnitudeScan uscan;
-          for (const MagnitudeScan& c : run.uscan) uscan.merge(c);
-          if (!uscan.finite) {
-            throw status_error(Status(StatusCode::kNonFinite,
-                                      "non-finite value in the factored pivot rows",
-                                      static_cast<long long>(t)));
-          }
-          if (uscan.amax > run.umax) run.umax = uscan.amax;
-        }
-      }
-      m.step_barrier();
-    });
-    if (run.real && run.amax > 0.0 &&
-        run.umax > run.growth_lim * run.amax &&
-        run.health.code != StatusCode::kGrowthOverflow) {
-      run.soft_breakdown(StatusCode::kGrowthOverflow, t);
-    }
-    if (run.abft) {
-      // Advance the row-sum checksums to cover the post-update trailing
-      // accumulator: sum'[i] = sum[i] - panel[i] - (solved A10 row i)·urow.
-      // The solved A10 chunks feed both this and the Schur tasks, so with
-      // lookahead they must all have landed in lstore first.
-      if (run.la) pool.wait(run.a10_ids);
-      apply_abft_update<T>(run, t, pivotrows, ncols);
-    }
-
-    // Steps 8 and 10: 2.5D distribution; step 11: the Schur update.
-    rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
-                [&] { distribute_panels_2p5d(run, t, a10_rows); });
-    rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
-                [&] { update_a11<T>(run, t, pivotrows); });
-    rec.end_iteration(result.step_costs);
-    ++t;
-  } catch (const status_error& e) {
-    // Only ABFT-detected corruption is recoverable in-run; everything else
-    // (including the injected crash) unwinds to the caller. The budget
-    // bounds re-execution so persistent corruption still surfaces as an
-    // error instead of an infinite rollback loop.
-    if (e.code() != StatusCode::kDataCorruption || reexecs_left-- <= 0) throw;
-    g_abft_reexec.add(1.0);
-    if (recover::has_latest(lu_snapshot_key(run))) {
-      t = restore_lu_snapshot(run, perm_pad);
-      g_ckpt_restores.add(1.0);
-      // The step-0 snapshot is a marker: re-derive the state from the input.
-      if (t == 0) init_packed_state();
-    } else {
-      init_packed_state();
-      t = 0;
-    }
-    init_abft_sums(run, t);
-  }
-  }
-
-  if (run.la) {
-    pool.wait(run.a10_ids);
-    pool.wait(run.urgent_ids);
-    pool.wait(run.lazy_ids);
-  }
+  LuResultT<T> result;
+  loop.run(run, resume, chain_per_step, result.step_costs);
 
   // Assemble the user-facing permutation and factors (drop the padding).
   result.perm.reserve(static_cast<std::size_t>(n));
   for (index_t i = 0; i < npad; ++i) {
-    const index_t row = perm_pad[static_cast<std::size_t>(i)];
+    const index_t row = run.perm_pad[static_cast<std::size_t>(i)];
     if (row < n) result.perm.push_back(row);
   }
   check(static_cast<index_t>(result.perm.size()) == n, "permutation must cover all rows");
   if (run.real) {
     prof::ScopedSpan span("factor-handoff");
-    check(std::all_of(perm_pad.begin(), perm_pad.begin() + n,
+    check(std::all_of(run.perm_pad.begin(), run.perm_pad.begin() + n,
                       [&](index_t r) { return r < n; }),
           "real rows must be eliminated before padding rows");
     result.workspace_words =
@@ -1577,28 +1272,6 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   return result;
 }
 
-/// Shared body of the try_* entry points: soft breakdowns come back as a
-/// degraded Result (error + completed factors), hard ones as a failed
-/// Result, contract violations as kInvalidArgument.
-template <typename T>
-Result<LuResultT<T>> try_lu(xsim::Machine& m, const grid::Grid3D& g,
-                            ConstMatrixView<T> a, const FactorOptions& opt,
-                            bool resume = false) {
-  try {
-    expects(m.real(), "try_conflux_lu requires Real mode");
-    LuResultT<T> r = run_conflux_lu<T>(m, g, a.rows(), a, opt, resume);
-    if (!r.health.ok()) {
-      Status st = r.health.to_status();
-      return Result<LuResultT<T>>(std::move(st), std::move(r));
-    }
-    return std::move(r);
-  } catch (const status_error& e) {
-    return e.status();
-  } catch (const contract_error& e) {
-    return Status(StatusCode::kInvalidArgument, e.what());
-  }
-}
-
 }  // namespace
 
 LuResult conflux_lu(xsim::Machine& m, const grid::Grid3D& g, ConstViewD a,
@@ -1615,12 +1288,12 @@ LuResultF conflux_lu(xsim::Machine& m, const grid::Grid3D& g, ConstViewF a,
 
 Result<LuResult> try_conflux_lu(xsim::Machine& m, const grid::Grid3D& g,
                                 ConstViewD a, const FactorOptions& opt) {
-  return try_lu<double>(m, g, a, opt);
+  return try_factor("try_conflux_lu", run_conflux_lu<double>, m, g, a, opt);
 }
 
 Result<LuResultF> try_conflux_lu(xsim::Machine& m, const grid::Grid3D& g,
                                  ConstViewF a, const FactorOptions& opt) {
-  return try_lu<float>(m, g, a, opt);
+  return try_factor("try_conflux_lu", run_conflux_lu<float>, m, g, a, opt);
 }
 
 LuResult resume_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, ConstViewD a,
@@ -1637,12 +1310,12 @@ LuResultF resume_conflux_lu(xsim::Machine& m, const grid::Grid3D& g,
 
 Result<LuResult> try_resume_conflux_lu(xsim::Machine& m, const grid::Grid3D& g,
                                        ConstViewD a, const FactorOptions& opt) {
-  return try_lu<double>(m, g, a, opt, /*resume=*/true);
+  return try_factor("try_conflux_lu", run_conflux_lu<double>, m, g, a, opt, /*resume=*/true);
 }
 
 Result<LuResultF> try_resume_conflux_lu(xsim::Machine& m, const grid::Grid3D& g,
                                         ConstViewF a, const FactorOptions& opt) {
-  return try_lu<float>(m, g, a, opt, /*resume=*/true);
+  return try_factor("try_conflux_lu", run_conflux_lu<float>, m, g, a, opt, /*resume=*/true);
 }
 
 LuResult conflux_lu_trace(xsim::Machine& m, const grid::Grid3D& g, index_t n,

@@ -23,12 +23,17 @@
 //   ...
 //   w.end_array();
 //   w.end_object();
+//
+// The reader side is json::parse, the one strict parser in the tree (the
+// autotuner's tuning file and the trace-export tests use it).
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace conflux::json {
@@ -83,5 +88,29 @@ class Writer {
   std::vector<Level> stack_;
   bool after_key_ = false;
 };
+
+/// One parsed JSON value. Objects keep their members in document order
+/// (duplicate keys included; get() returns the first).
+struct Value {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  double number = 0.0;
+  std::string string;
+  std::vector<Value> array;
+  std::vector<std::pair<std::string, Value>> object;
+
+  bool is(Kind k) const { return kind == k; }
+  /// Member `key` of an object, or nullptr (also when this is no object).
+  const Value* get(std::string_view key) const;
+};
+
+/// Strict RFC 8259 parse of one whole document; nullopt on any error. It
+/// rejects raw control characters in strings, bad escapes and unpaired
+/// surrogates, numbers outside the JSON grammar (leading '+' or zeros, a
+/// bare '.' or exponent) or outside double range, trailing garbage, and
+/// nesting deeper than 256 levels. \u escapes decode to UTF-8, so
+/// everything Writer emits parses back to what was written.
+std::optional<Value> parse(std::string_view text);
 
 }  // namespace conflux::json

@@ -22,6 +22,7 @@
 #include "obs/audit.hpp"
 #include "sched/chrome_trace.hpp"
 #include "sched/taskpool.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/profile.hpp"
 #include "tensor/random_matrix.hpp"
@@ -320,108 +321,6 @@ TEST(Obs, ScopedSpanRecordsOnlyWhileCapturing) {
   EXPECT_TRUE(prof::stop_capture().spans.empty());
 }
 
-// Minimal recursive-descent JSON checker (same contract as sched_test's):
-// enough to guarantee Perfetto / about:tracing can parse the file.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;
-    skip_ws();
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat('}')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool array() {
-    ++pos_;
-    skip_ws();
-    if (eat(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat(']')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos_ < s_.size()) {
-      const char ch = s_[pos_++];
-      if (ch == '\\') {
-        if (pos_ >= s_.size()) return false;
-        ++pos_;
-      } else if (ch == '"') {
-        return true;
-      } else if (static_cast<unsigned char>(ch) < 0x20) {
-        return false;  // raw control characters are invalid JSON
-      }
-    }
-    return false;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(std::string_view lit) {
-    if (s_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-  bool eat(char ch) {
-    if (pos_ < s_.size() && s_[pos_] == ch) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
 TEST(Obs, UnifiedTraceIsValidJsonWithAllThreeTracks) {
   ScopedMetrics on(true);
   sched::TaskPool& pool = sched::TaskPool::instance();
@@ -446,7 +345,7 @@ TEST(Obs, UnifiedTraceIsValidJsonWithAllThreeTracks) {
   std::ostringstream os;
   const std::size_t events = sched::write_unified_trace(os, slices, cap);
   EXPECT_GT(events, 0u);
-  EXPECT_TRUE(JsonChecker(os.str()).valid()) << os.str().substr(0, 400);
+  EXPECT_TRUE(json::parse(os.str()).has_value()) << os.str().substr(0, 400);
   // All three trace processes are present.
   EXPECT_NE(os.str().find("\"task pool\""), std::string::npos);
   EXPECT_NE(os.str().find("\"phases\""), std::string::npos);

@@ -6,9 +6,12 @@
 // undisturbed run, and a run with any recovery feature enabled but no fault
 // injected is bitwise identical to one with the feature off.
 //
-// The pool runs with 2 threads (pinned before its first use) and every run
-// uses lookahead, so retry and the step-boundary drains exercise the real
-// pipelined path.
+// The pool runs with 2 threads (pinned before its first use). The crash/
+// restart and ABFT legs run step-synchronously (the default path, and the
+// one every benchmark workload takes) and with lookahead, whose
+// step-boundary drains exercise the pipelined path. Task retry needs
+// retryable pool tasks, which only the pipelined path submits, so its legs
+// always use lookahead.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -48,11 +51,19 @@ xsim::Machine fresh_machine() {
   return xsim::Machine(spec, xsim::ExecMode::Real);
 }
 
-FactorOptions options() {
+FactorOptions options(int lookahead = 1) {
   FactorOptions opt;
   opt.block_size = kV;
-  opt.lookahead = 1;
+  opt.lookahead = lookahead;
   return opt;
+}
+
+/// Suites whose legs run at lookahead 0 and 1 (the test parameter).
+class CrashRestart : public ::testing::TestWithParam<int> {};
+class Abft : public ::testing::TestWithParam<int> {};
+
+std::string lookahead_name(const ::testing::TestParamInfo<int>& info) {
+  return "lookahead" + std::to_string(info.param);
 }
 
 const grid::Grid3D& grid221() {
@@ -134,7 +145,8 @@ recover::SnapshotKey lu_key() {
 
 // ------------------------------------------------- crash/restart, LU -------
 
-TEST(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
+TEST_P(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   recover::Options ro;
   ro.ckpt_every = 1;  // a snapshot precedes every possible crash point
@@ -147,7 +159,7 @@ TEST(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
     Result<LuResult> r = [&] {
       fault::ScopedConfig scoped(cfg);
       xsim::Machine m = fresh_machine();
-      return factor::try_conflux_lu(m, grid221(), lu_input().view(), options());
+      return factor::try_conflux_lu(m, grid221(), lu_input().view(), opt);
     }();
     if (r.ok()) {
       expect_golden(r.value(), "clean run under an armed crash site");
@@ -160,13 +172,14 @@ TEST(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
     // the tail of the schedule from the snapshot the crash left behind.
     xsim::Machine m2 = fresh_machine();
     const LuResult resumed =
-        factor::resume_conflux_lu(m2, grid221(), lu_input().view(), options());
+        factor::resume_conflux_lu(m2, grid221(), lu_input().view(), opt);
     expect_golden(resumed, "crash-resumed run");
   }
   EXPECT_GE(crashed, 12) << "crash site looks dead at rate 0.5";
 }
 
-TEST(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
+TEST_P(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
+  const FactorOptions opt = options(GetParam());
   golden_chol();
   recover::Options ro;
   ro.ckpt_every = 1;
@@ -179,7 +192,7 @@ TEST(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
     Result<CholResult> r = [&] {
       fault::ScopedConfig scoped(cfg);
       xsim::Machine m = fresh_machine();
-      return factor::try_confchox(m, grid221(), chol_input().view(), options());
+      return factor::try_confchox(m, grid221(), chol_input().view(), opt);
     }();
     if (r.ok()) {
       expect_golden(r.value(), "clean run under an armed crash site");
@@ -190,13 +203,14 @@ TEST(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
         << r.status().to_string();
     xsim::Machine m2 = fresh_machine();
     const CholResult resumed =
-        factor::resume_confchox(m2, grid221(), chol_input().view(), options());
+        factor::resume_confchox(m2, grid221(), chol_input().view(), opt);
     expect_golden(resumed, "crash-resumed run");
   }
   EXPECT_GE(crashed, 12) << "crash site looks dead at rate 0.5";
 }
 
-TEST(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
+TEST_P(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   golden_chol();
   ScopedMetrics sm;
@@ -207,17 +221,18 @@ TEST(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
   const double saves0 = counter("recover.ckpt.saves");
   const double bytes0 = counter("recover.ckpt.bytes");
   xsim::Machine mlu = fresh_machine();
-  expect_golden(factor::conflux_lu(mlu, grid221(), lu_input().view(), options()),
+  expect_golden(factor::conflux_lu(mlu, grid221(), lu_input().view(), opt),
                 "checkpointing-only LU run");
   xsim::Machine mch = fresh_machine();
-  expect_golden(factor::confchox(mch, grid221(), chol_input().view(), options()),
+  expect_golden(factor::confchox(mch, grid221(), chol_input().view(), opt),
                 "checkpointing-only Cholesky run");
   // 4 tiles, every 2 steps: saves at t = 0 and t = 2, per factorization.
   EXPECT_EQ(counter("recover.ckpt.saves") - saves0, 4.0);
   EXPECT_GT(counter("recover.ckpt.bytes") - bytes0, 0.0);
 }
 
-TEST(CrashRestart, FileMirrorSurvivesRegistryLoss) {
+TEST_P(CrashRestart, FileMirrorSurvivesRegistryLoss) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   char tmpl[] = "/tmp/conflux-ckpt-XXXXXX";
   char* dir = ::mkdtemp(tmpl);
@@ -234,7 +249,7 @@ TEST(CrashRestart, FileMirrorSurvivesRegistryLoss) {
         site_config(fault::Site::kCrashAtStep, 1, 1.0));
     xsim::Machine m = fresh_machine();
     const auto r =
-        factor::try_conflux_lu(m, grid221(), lu_input().view(), options());
+        factor::try_conflux_lu(m, grid221(), lu_input().view(), opt);
     ASSERT_FALSE(r.ok());
     ASSERT_EQ(r.status().code(), StatusCode::kCrashSimulated);
   }
@@ -243,7 +258,7 @@ TEST(CrashRestart, FileMirrorSurvivesRegistryLoss) {
   recover::clear();
   xsim::Machine m2 = fresh_machine();
   const LuResult resumed =
-      factor::resume_conflux_lu(m2, grid221(), lu_input().view(), options());
+      factor::resume_conflux_lu(m2, grid221(), lu_input().view(), opt);
   expect_golden(resumed, "file-mirror resumed run");
   std::remove((std::string(dir) + "/" + lu_key().to_string() + ".ckpt").c_str());
   ::rmdir(dir);
@@ -251,7 +266,8 @@ TEST(CrashRestart, FileMirrorSurvivesRegistryLoss) {
 
 // ------------------------------------------------------- ABFT, bitflip -----
 
-TEST(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
+TEST_P(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   ScopedMetrics sm;
   recover::Options ro;
@@ -272,7 +288,7 @@ TEST(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
     // The corruption is absorbed inside the run: it must COMPLETE, and the
     // factors must be exactly the undisturbed ones.
     const LuResult lu =
-        factor::conflux_lu(m, grid221(), lu_input().view(), options());
+        factor::conflux_lu(m, grid221(), lu_input().view(), opt);
     expect_golden(lu, "ABFT-recovered run");
     fired_total += counter("fault.fired.bitflip") - f0;
   }
@@ -283,7 +299,8 @@ TEST(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
   EXPECT_EQ(counter("recover.abft.reexec") - rex0, fired_total);
 }
 
-TEST(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
+TEST_P(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
+  const FactorOptions opt = options(GetParam());
   golden_chol();
   ScopedMetrics sm;
   recover::Options ro;
@@ -293,6 +310,7 @@ TEST(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
   recover::ScopedOptions so(ro);
   double fired_total = 0.0;
   const double det0 = counter("recover.abft.detected");
+  const double rex0 = counter("recover.abft.reexec");
   for (std::uint64_t seed = 200; seed < 212; ++seed) {
     const fault::Config cfg = site_config(fault::Site::kBitflip, seed, 0.25);
     SCOPED_TRACE(repro(cfg, fault::Site::kBitflip));
@@ -301,15 +319,17 @@ TEST(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
     fault::ScopedConfig scoped(cfg);
     xsim::Machine m = fresh_machine();
     const CholResult ch =
-        factor::confchox(m, grid221(), chol_input().view(), options());
+        factor::confchox(m, grid221(), chol_input().view(), opt);
     expect_golden(ch, "ABFT-recovered run");
     fired_total += counter("fault.fired.bitflip") - f0;
   }
   EXPECT_GE(fired_total, 4.0) << "bitflip site looks dead at rate 0.25";
   EXPECT_EQ(counter("recover.abft.detected") - det0, fired_total);
+  EXPECT_EQ(counter("recover.abft.reexec") - rex0, fired_total);
 }
 
-TEST(Abft, VerificationIsBitwiseInert) {
+TEST_P(Abft, VerificationIsBitwiseInert) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   golden_chol();
   ScopedMetrics sm;
@@ -321,17 +341,18 @@ TEST(Abft, VerificationIsBitwiseInert) {
   const double ver0 = counter("recover.abft.verified");
   const double det0 = counter("recover.abft.detected");
   xsim::Machine mlu = fresh_machine();
-  expect_golden(factor::conflux_lu(mlu, grid221(), lu_input().view(), options()),
+  expect_golden(factor::conflux_lu(mlu, grid221(), lu_input().view(), opt),
                 "ABFT-on healthy LU run");
   xsim::Machine mch = fresh_machine();
-  expect_golden(factor::confchox(mch, grid221(), chol_input().view(), options()),
+  expect_golden(factor::confchox(mch, grid221(), chol_input().view(), opt),
                 "ABFT-on healthy Cholesky run");
   // 4 tiles per factorization, verification at steps 1..3 of each.
   EXPECT_EQ(counter("recover.abft.verified") - ver0, 6.0);
   EXPECT_EQ(counter("recover.abft.detected") - det0, 0.0);
 }
 
-TEST(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
+TEST_P(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
+  const FactorOptions opt = options(GetParam());
   golden_lu();
   recover::Options ro;
   ro.abft = true;  // checkpointing OFF: rollback of last resort is the input
@@ -344,8 +365,70 @@ TEST(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
     fault::ScopedConfig scoped(cfg);
     xsim::Machine m = fresh_machine();
     const LuResult lu =
-        factor::conflux_lu(m, grid221(), lu_input().view(), options());
+        factor::conflux_lu(m, grid221(), lu_input().view(), opt);
     expect_golden(lu, "ABFT full-restart run");
+  }
+}
+
+TEST_P(Abft, CholReexecutionWithoutCheckpointRestartsFromInput) {
+  const FactorOptions opt = options(GetParam());
+  golden_chol();
+  recover::Options ro;
+  ro.abft = true;  // checkpointing OFF: rollback of last resort is the input
+  ro.abft_every = 1;
+  recover::ScopedOptions so(ro);
+  ScopedMetrics sm;
+  const double rex0 = counter("recover.abft.reexec");
+  for (std::uint64_t seed = 300; seed < 306; ++seed) {
+    const fault::Config cfg = site_config(fault::Site::kBitflip, seed, 0.2);
+    SCOPED_TRACE(repro(cfg, fault::Site::kBitflip));
+    recover::clear();
+    fault::ScopedConfig scoped(cfg);
+    xsim::Machine m = fresh_machine();
+    const CholResult ch =
+        factor::confchox(m, grid221(), chol_input().view(), opt);
+    expect_golden(ch, "ABFT full-restart run");
+  }
+  EXPECT_GT(counter("recover.abft.reexec") - rex0, 0.0) << "no restart was exercised";
+}
+
+TEST_P(Abft, PersistentCorruptionExhaustsTheReexecutionBudget) {
+  // A flip at every verification is a broken machine, not a transient: the
+  // run re-executes exactly its budget of 8 times, and the next detection
+  // surfaces as kDataCorruption through the try_* entry points.
+  const FactorOptions opt = options(GetParam());
+  ScopedMetrics sm;
+  recover::Options ro;
+  ro.abft = true;
+  ro.abft_every = 1;
+  recover::ScopedOptions so(ro);
+  const fault::Config cfg = site_config(fault::Site::kBitflip, 7, 1.0);
+  SCOPED_TRACE(repro(cfg, fault::Site::kBitflip));
+  const auto expect_exhausted = [&](const Status& st, double det0, double rex0,
+                                    const char* what) {
+    EXPECT_EQ(st.code(), StatusCode::kDataCorruption) << what << ": " << st.to_string();
+    EXPECT_EQ(counter("recover.abft.reexec") - rex0, 8.0) << what;
+    EXPECT_EQ(counter("recover.abft.detected") - det0, 9.0) << what;
+  };
+  {
+    recover::clear();
+    const double det0 = counter("recover.abft.detected");
+    const double rex0 = counter("recover.abft.reexec");
+    fault::ScopedConfig scoped(cfg);
+    xsim::Machine m = fresh_machine();
+    const auto r = factor::try_conflux_lu(m, grid221(), lu_input().view(), opt);
+    ASSERT_FALSE(r.ok());
+    expect_exhausted(r.status(), det0, rex0, "LU");
+  }
+  {
+    recover::clear();
+    const double det0 = counter("recover.abft.detected");
+    const double rex0 = counter("recover.abft.reexec");
+    fault::ScopedConfig scoped(cfg);
+    xsim::Machine m = fresh_machine();
+    const auto r = factor::try_confchox(m, grid221(), chol_input().view(), opt);
+    ASSERT_FALSE(r.ok());
+    expect_exhausted(r.status(), det0, rex0, "Cholesky");
   }
 }
 
@@ -395,6 +478,9 @@ TEST(SnapshotIntegrity, TruncatedAndMissingSnapshotsFailWithTypedStatus) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCheckpointInvalid);
 }
+
+INSTANTIATE_TEST_SUITE_P(Both, CrashRestart, ::testing::Values(0, 1), lookahead_name);
+INSTANTIATE_TEST_SUITE_P(Both, Abft, ::testing::Values(0, 1), lookahead_name);
 
 // ------------------------------------------------------ transient retry ----
 

@@ -24,7 +24,6 @@
 
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <mutex>
 #include <map>
@@ -44,6 +43,7 @@
 #include "sched/event.hpp"
 #include "sched/taskpool.hpp"
 #include "sched/timeline.hpp"
+#include "support/json.hpp"
 #include "tensor/random_matrix.hpp"
 
 namespace conflux::sched {
@@ -433,120 +433,6 @@ TEST(TraceRealEvents, LuPerKindTotalsMatch) {
 
 // ----------------------------------------------------- Chrome-trace JSON ----
 
-// Minimal recursive-descent JSON syntax checker: enough to guarantee
-// about:tracing / Perfetto can load the file.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view s) : s_(s) {}
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    switch (s_[pos_]) {
-      case '{': return object();
-      case '[': return array();
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (eat('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!eat(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat('}')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (eat(']')) return true;
-    while (true) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (eat(']')) return true;
-      if (!eat(',')) return false;
-    }
-  }
-  bool string() {
-    if (!eat('"')) return false;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {
-        ++pos_;
-        if (pos_ >= s_.size()) return false;
-      }
-      ++pos_;
-    }
-    return eat('"');
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-    bool digits = false;
-    const auto digit_run = [&] {
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        digits = true;
-      }
-    };
-    digit_run();
-    if (pos_ < s_.size() && s_[pos_] == '.') {
-      ++pos_;
-      digit_run();
-    }
-    if (digits && pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+')) ++pos_;
-      bool exp_digits = false;
-      while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-        ++pos_;
-        exp_digits = true;
-      }
-      if (!exp_digits) return false;
-    }
-    return digits && pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::string_view want(lit);
-    if (s_.substr(pos_, want.size()) != want) return false;
-    pos_ += want.size();
-    return true;
-  }
-  bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
-
 TEST(ChromeTrace, ExportIsValidJsonWithPhaseLabels) {
   const index_t n = 64;
   const grid::Grid3D g(2, 2, 2);
@@ -569,7 +455,7 @@ TEST(ChromeTrace, ExportIsValidJsonWithPhaseLabels) {
   EXPECT_NE(json.find("tournament-pivot"), std::string::npos);
   EXPECT_NE(json.find("schur-update"), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(json::parse(json).has_value()) << json.substr(0, 400);
 }
 
 TEST(ChromeTrace, SlicesAreOffWithoutOptIn) {
@@ -863,7 +749,7 @@ TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
   EXPECT_NE(json.find("schur-lazy"), std::string::npos);
   EXPECT_NE(json.find("schur-urgent"), std::string::npos);
   EXPECT_NE(json.find("panel-trsm-a10"), std::string::npos);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(json::parse(json).has_value()) << json.substr(0, 400);
 }
 
 // ---------------------------------------------------- pool determinism ----

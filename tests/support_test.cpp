@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "blas/tuning.hpp"
 #include "serve/fingerprint.hpp"
 #include "support/check.hpp"
 #include "support/cli.hpp"
+#include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -256,6 +259,105 @@ TEST(Fingerprint, SinglePassCostIsMeteredPerElement) {
             32.0 * 32.0 + 16.0 * 16.0);
   EXPECT_GE(snap.value("serve.fingerprint.seconds"), 0.0);
   metrics::set_enabled(was_enabled);
+}
+
+TEST(Json, ReaderRoundTripsWriterOutput) {
+  // Escapes (quote, backslash, short forms, a \u00XX control character),
+  // shortest-round-trip numbers and non-finite doubles (written as null)
+  // all parse back to exactly what was written.
+  const std::string tricky = std::string("q\"b\\n\nt\tr\rc") + '\x01' + "/\xc3\xa9";
+  const double third = 1.0 / 3.0;
+  std::ostringstream os;
+  json::Writer w(os);
+  w.begin_object();
+  w.field("s", std::string_view(tricky));
+  w.field("third", third);
+  w.field("tiny", 1e-300);
+  w.field("big", -1.5e300);
+  w.field("i", -42LL);
+  w.field("u", 18446744073709551615ULL);
+  w.field("nan", std::numeric_limits<double>::quiet_NaN());
+  w.field("inf", std::numeric_limits<double>::infinity());
+  w.field("yes", true);
+  w.key("list");
+  w.begin_array();
+  w.value(0.0);
+  w.begin_object();
+  w.end_object();
+  w.begin_array();
+  w.end_array();
+  w.null();
+  w.end_array();
+  w.end_object();
+
+  const auto v = json::parse(os.str());
+  ASSERT_TRUE(v.has_value()) << os.str();
+  ASSERT_TRUE(v->is(json::Value::Kind::kObject));
+  EXPECT_EQ(v->get("s")->string, tricky);
+  EXPECT_EQ(v->get("third")->number, third);
+  EXPECT_EQ(v->get("tiny")->number, 1e-300);
+  EXPECT_EQ(v->get("big")->number, -1.5e300);
+  EXPECT_EQ(v->get("i")->number, -42.0);
+  EXPECT_EQ(v->get("u")->number, 18446744073709551615.0);
+  EXPECT_TRUE(v->get("nan")->is(json::Value::Kind::kNull));
+  EXPECT_TRUE(v->get("inf")->is(json::Value::Kind::kNull));
+  EXPECT_TRUE(v->get("yes")->boolean);
+  EXPECT_EQ(v->get("missing"), nullptr);
+  const json::Value& list = *v->get("list");
+  ASSERT_EQ(list.array.size(), 4u);
+  EXPECT_EQ(list.array[0].number, 0.0);
+  EXPECT_TRUE(list.array[1].is(json::Value::Kind::kObject));
+  EXPECT_TRUE(list.array[2].is(json::Value::Kind::kArray));
+  EXPECT_TRUE(list.array[3].is(json::Value::Kind::kNull));
+}
+
+TEST(Json, ReaderDecodesUnicodeEscapes) {
+  const auto v = json::parse(R"(["\u00e9\u20AC", "\ud83d\ude00", "\/"])");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->array[0].string, "\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(v->array[1].string, "\xf0\x9f\x98\x80");
+  EXPECT_EQ(v->array[2].string, "/");
+}
+
+TEST(Json, ReaderRejectsMalformedInput) {
+  const char* bad[] = {
+      "",               // no value
+      " ",              // still no value
+      "{} x",           // trailing garbage
+      "[1] [2]",        // two documents
+      "\"a\x01\"",      // raw control character
+      "\"a\nb\"",       // raw newline
+      "\"abc",          // unterminated string
+      R"("\x")",        // unknown escape
+      R"("\u12G4")",    // bad hex digit
+      R"("\u12")",      // short \u escape
+      R"("\ud800")",    // unpaired high surrogate
+      R"("\udc00")",    // unpaired low surrogate
+      "01",             // leading zero
+      "+1",             // leading plus
+      "1.",             // bare fraction point
+      ".5",             // no integer part
+      "-",              // sign only
+      "1e",             // bare exponent
+      "1e+",            // exponent without digits
+      "0x10",           // hex
+      "1e999",          // outside double range
+      "NaN",            // not JSON
+      "nul",            // truncated literal
+      "[1,]",           // trailing comma
+      "{\"a\":1,}",     // trailing comma
+      "{\"a\" 1}",      // missing colon
+      "{a:1}",          // unquoted key
+      "[1 2]",          // missing comma
+      "\f[]",           // form feed is not JSON whitespace
+  };
+  for (const char* text : bad) {
+    EXPECT_FALSE(json::parse(text).has_value()) << "accepted: " << text;
+  }
+  EXPECT_FALSE(json::parse(std::string(300, '[') + std::string(300, ']')).has_value())
+      << "nesting past the depth limit";
+  EXPECT_TRUE(json::parse(std::string(200, '[') + std::string(200, ']')).has_value());
+  EXPECT_TRUE(json::parse(" \t\r\n{\"a\": [-0, 0.5, 1E+2, -2e-3]} \n").has_value());
 }
 
 }  // namespace
