@@ -364,9 +364,9 @@ int main(int argc, char** argv) {
   // (forced via ScopedIsa, recorded in the row's `isa` field), then runtime
   // dispatch itself is gated: the dispatched fp64 kernel must be at least
   // as fast as the portable baseline. Both legs interleave their reps in
-  // one loop so they see the same machine state; like the factor_schedule
-  // lookahead gate, a 5% margin covers OS-scheduler noise on shared
-  // runners — a real regression (a mis-dispatched kernel) is far larger.
+  // one loop so they see the same machine state; a 5% margin covers
+  // OS-scheduler noise on shared runners — a real regression (a
+  // mis-dispatched kernel) is far larger.
   bool gates_ok = true;
   {
     const index_t ni = 1024;

@@ -120,11 +120,10 @@ const char* tuning_source();
 /// Per-thread team-width override (0 = none): the one in-process width
 /// setting. sched::TaskPool::width() returns it ahead of CONFLUX_POOL_THREADS
 /// and the CPU count, so it raises the width as well as lowers it; gemm's
-/// parallel loops and every parallel_for / submit issued from this thread
-/// follow it. The task pool sets it to 1 on its workers and around every
-/// task and parallel_for index it executes — on the helping master thread
-/// too — so BLAS calls inside pool work never fork: the pool itself is the
-/// parallelism there.
+/// parallel loops and every parallel_for issued from this thread follow it.
+/// The task pool sets it to 1 on its workers and on the master while it
+/// runs its share of a call's indices, so BLAS calls inside pool work never
+/// fork: the pool itself is the parallelism there.
 int tls_thread_cap();
 void set_tls_thread_cap(int cap);
 

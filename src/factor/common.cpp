@@ -1,23 +1,12 @@
 #include "factor/common.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 
 #include "sched/rank_parallel.hpp"
 #include "support/check.hpp"
 
 namespace conflux::factor {
-
-bool lookahead_enabled(const FactorOptions& opt) {
-  if (opt.lookahead >= 0) return opt.lookahead > 0;
-  static const bool env_on = [] {
-    const char* s = std::getenv("CONFLUX_LOOKAHEAD");
-    return s != nullptr && *s != '\0' && std::strcmp(s, "0") != 0;
-  }();
-  return env_on;
-}
 
 index_t default_block_size(index_t n, const grid::Grid3D& g) {
   const auto c = static_cast<index_t>(g.pz());

@@ -26,13 +26,6 @@ struct FactorOptions {
   /// exist: pivots are drawn uniformly among active rows, matching the
   /// paper's "pivots evenly distributed w.h.p." assumption.
   std::uint64_t trace_pivot_seed = 42;
-  /// Real-mode lookahead pipelining (DESIGN.md "Pipelined execution"):
-  /// 1 = run the urgent/lazy Schur split on the persistent task pool with
-  /// cross-step overlap, 0 = step-synchronous execution, -1 = follow the
-  /// CONFLUX_LOOKAHEAD environment variable (off when unset). Either way
-  /// the task decomposition — and therefore every factor bit — is
-  /// identical; only the execution schedule changes.
-  int lookahead = -1;
   /// Near-singular pivot threshold, relative to the input's max magnitude:
   /// a pivot |u_kk| < pivot_tolerance * max|A| after tournament selection
   /// flags the result kNearSingularPivot (health only — the factorization
@@ -44,9 +37,6 @@ struct FactorOptions {
   /// the working precision; partial pivoting keeps real inputs far below it.
   double growth_limit = 0.0;
 };
-
-/// Resolve FactorOptions::lookahead against CONFLUX_LOOKAHEAD.
-bool lookahead_enabled(const FactorOptions& opt);
 
 /// Cost categories of one outer iteration, mapped to Table 1's rows.
 struct StepCosts {

@@ -42,14 +42,12 @@ enum WsSlot : std::size_t { kA00 = 0 };
 /// gemm/syrk's fixed k-order (one beta=1 update with k = v accumulates the
 /// k-slices in ascending z), so per-layer buffers never exist.
 ///
-/// Execution (DESIGN.md "Pipelined execution"): each fixed kRowBlock row
-/// block of the symmetric Schur update is split into an URGENT piece (its
-/// contribution to the next panel — tile column t+1) and a LAZY remainder.
-/// The decomposition is identical in both execution modes (bitwise-equal
-/// factors); with lookahead the pieces run on the persistent TaskPool with
-/// explicit dependencies (urgent/lazy after this step's panel trsm chunks
-/// and the previous lazy remainder), so step t+1's potrf and panel solve
-/// overlap step t's trailing update.
+/// Execution (DESIGN.md "The urgent/lazy Schur split"): each fixed
+/// kRowBlock row block of the symmetric Schur update is split into an
+/// URGENT piece (its contribution to the next panel — tile column t+1) and
+/// a LAZY remainder, each phase one parallel_for over the persistent
+/// TaskPool; the fixed decomposition is what makes the factors bitwise
+/// equal at every width.
 template <typename T>
 struct CholRun {
   using Scalar = T;
@@ -66,10 +64,6 @@ struct CholRun {
   std::vector<int> all_ranks;
   Matrix<T> fac;  // trailing accumulator left of the frontier, factor right
   Workspace ws;
-
-  // Lookahead task handles (panel = this step's trsm chunks).
-  StepTasks tasks;
-  std::vector<sched::TaskId> dep_scratch;
 
   // Breakdown monitoring (DESIGN.md "Failure model"; read-only on the data
   // path). Cholesky has no element growth, so only the input magnitude, the
@@ -251,13 +245,10 @@ void reduce_block_column(CholRun<T>& run, index_t t) {
 
 // Steps 2-3: potrf of the diagonal block on its owner, broadcast to all.
 // The factored block is written back into the trailing buffer: that slot is
-// the finished factor from here on. With lookahead the previous step's
-// urgent tasks — the producers of this diagonal block — are drained first;
-// the previous lazy remainder keeps running on the pool.
+// the finished factor from here on.
 template <typename T>
 void factor_and_broadcast_a00(CholRun<T>& run, index_t t, MatrixView<T>* a00) {
   prof::ScopedSpan span("potrf-a00", static_cast<long long>(t));
-  run.tasks.wait_urgent();
   run.m.annotate("potrf-a00");
   const int x_t = static_cast<int>(t) % run.g.px();
   const int y_t = static_cast<int>(t) % run.g.py();
@@ -352,10 +343,8 @@ void scatter_panel_1d(CholRun<T>& run, index_t t, index_t panel_rows) {
 // Step 5: local trsm L10 = A10 * L00^{-T} on the 1D chunks, IN PLACE in the
 // trailing buffer: the solved panel is simultaneously the factor's column
 // block and the Schur update's operand. The chunk decomposition is one
-// piece per simulated rank in both execution modes (Right-side solves are
-// row-independent, so chunking is exact); with lookahead the chunks are
-// pool tasks overlapping the previous step's lazy remainder, whose writes
-// are disjoint from this panel's column block.
+// piece per simulated rank (Right-side solves are row-independent, so
+// chunking is exact).
 template <typename T>
 void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
                 ConstMatrixView<T> a00) {
@@ -367,7 +356,6 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
     const double mine = static_cast<double>(chunk_size(panel_rows, p, r));
     if (mine > 0) run.m.charge_flops(r, mine * vv * vv);
   }
-  run.tasks.panel.clear();
   if (run.real && panel_rows > 0) {
     MatrixView<T> panel = run.fac.block((t + 1) * run.v, t * run.v, panel_rows, run.v);
     const index_t v = run.v;
@@ -383,8 +371,8 @@ void trsm_panel(CholRun<T>& run, index_t t, index_t panel_rows,
            static_cast<double>(v) * static_cast<double>(v)) *
           static_cast<double>(sizeof(T)));
     };
-    run.tasks.launch(run.tasks.panel, 0, p, chunk, "panel-trsm",
-                     sched::TaskCategory::Other, t, {});
+    sched::TaskPool::instance().parallel_for(p, chunk, "panel-trsm",
+                                             static_cast<long long>(t));
   }
   run.m.step_barrier();
 }
@@ -431,8 +419,8 @@ void distribute_panel_2p5d(CholRun<T>& run, index_t t, index_t panel_rows) {
 // k-slice contribution is realized inside the fixed k-order of the beta=1
 // gemm/syrk calls (k = v spans the slices in ascending z).
 //
-// Decomposition (identical in both execution modes, so the factors agree
-// bitwise): one URGENT and one LAZY piece per fixed kRowBlock row block.
+// Decomposition (fixed, so the factors agree bitwise at every width): one
+// URGENT and one LAZY piece per fixed kRowBlock row block.
 // The urgent piece is the block's contribution to tile column t+1 — the
 // next step's diagonal block and panel column — and the lazy piece is the
 // rest; every lower-triangle element is written by exactly one piece with
@@ -476,15 +464,12 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
     }
   }
 
-  std::vector<sched::TaskId> prev_lazy = std::move(run.tasks.lazy);
-  run.tasks.urgent.clear();
-  run.tasks.lazy.clear();
   if (run.real && panel_rows > 0) {
     // The urgent cut at column v assumes v <= kRowBlock (true for
     // default_block_size and every practical configuration). For larger
     // hand-picked blocks the cut would land inside later blocks' diagonal
     // syrks, so each row block degrades to one unsplit urgent piece —
-    // still a fixed decomposition, just with nothing to pipeline.
+    // still a fixed decomposition.
     const bool split = run.v <= sched::kRowBlock;
     const index_t off = (t + 1) * run.v;
     const index_t v = run.v;
@@ -573,17 +558,15 @@ void update_a11(CholRun<T>& run, index_t t, index_t panel_rows) {
       }
     };
 
-    // Pipelined dependencies: both pieces read this step's solved panel
-    // (all trsm chunks) and write trailing cells the previous lazy
-    // remainder also writes — express both instead of waiting.
-    run.dep_scratch.assign(run.tasks.panel.begin(), run.tasks.panel.end());
-    run.dep_scratch.insert(run.dep_scratch.end(), prev_lazy.begin(), prev_lazy.end());
-    run.tasks.launch(run.tasks.urgent, 0, nblocks, urgent_block, "schur-urgent",
-                     sched::TaskCategory::Urgent, t, run.dep_scratch);
+    sched::TaskPool& pool = sched::TaskPool::instance();
+    const auto step = static_cast<long long>(t);
+    pool.parallel_for(nblocks, urgent_block, "schur-urgent", step);
     if (split) {
       // Block 0's lazy piece is empty when the panel fits in the urgent cut.
-      run.tasks.launch(run.tasks.lazy, panel_rows <= v ? 1 : 0, nblocks, lazy_block,
-                       "schur-lazy", sched::TaskCategory::Lazy, t, run.dep_scratch);
+      const index_t first = panel_rows <= v ? 1 : 0;
+      pool.parallel_for(
+          nblocks - first, [&](index_t i) { lazy_block(first + i); }, "schur-lazy",
+          step);
     }
   }
   run.m.step_barrier();
@@ -605,9 +588,7 @@ void CholRun<T>::step(index_t t, StepCostRecorder& rec) {
               [&] { trsm_panel<T>(*this, t, panel_rows, a00); });
   if (abft && panel_rows > 0) {
     // Advance the checksums across this step's Schur update; the solved
-    // panel is the only input, so only the trsm chunks must have landed
-    // (the Schur tasks depend on them anyway).
-    tasks.wait_panel();
+    // panel is the only input.
     apply_chol_abft_update(*this, t, panel_rows);
   }
   rec.measure(&StepCosts::a11_words, &StepCosts::a11_flops,
@@ -634,7 +615,7 @@ CholResultT<T> run_confchox(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   const double panel_words =
       2.0 * static_cast<double>(npad * v) / static_cast<double>(m.ranks()) +
       static_cast<double>(v * v);
-  StepLoop loop(m, opt, run.real, tile_words + panel_words, run.tasks);
+  StepLoop loop(m, opt, run.real, tile_words + panel_words);
 
   if (run.real) {
     prof::ScopedSpan span("factor-setup");

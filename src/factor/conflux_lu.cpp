@@ -148,10 +148,8 @@ void merge_candidates(CandSet<T>& a, const CandSet<T>& b, index_t v,
   }
 }
 
-/// Workspace slot ids (tensor/workspace.hpp arena). The pivot-row panel is
-/// double-buffered: with lookahead, step t's lazy Schur tasks still read
-/// slot t%2 while step t+1 gathers into the other slot.
-enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
+/// Workspace slot ids (tensor/workspace.hpp arena).
+enum WsSlot : std::size_t { kPivotRows = 0 };
 
 /// The whole mutable state of one factorization run, templated on the
 /// factor scalar (the Trace entry point instantiates the double core with
@@ -171,17 +169,15 @@ enum WsSlot : std::size_t { kPivotRows0 = 0, kPivotRows1 = 1 };
 ///     loop its rows are gathered in pivot order into `trail`, whose
 ///     buffer becomes the result (DESIGN.md "Packed trailing workspace").
 /// Eliminated rows retire once per step by swapping the tail row into their
-/// slot; with lookahead the retirement is split into an urgent pass (the
-/// next panel's columns, unblocked by the previous step's urgent stripe)
-/// and a lazy pass replaying the same swaps on the remaining columns once
-/// the previous step's lazy remainder has landed.
+/// slot, in two passes: an urgent pass on the panel's columns right after
+/// the tournament, and a lazy pass replaying the same swaps on the
+/// remaining columns after the pivot-row gather has read them.
 ///
-/// Execution (DESIGN.md "Pipelined execution"): the Schur update is always
+/// Execution (DESIGN.md "The urgent/lazy Schur split"): the Schur update is
 /// decomposed into an URGENT stripe (the next panel's v columns) and a LAZY
-/// remainder, both in fixed kRowBlock row-block tasks — the decomposition,
-/// and therefore every factor bit, is identical whether the tasks run
-/// step-synchronously (parallel_for) or pipelined on the persistent
-/// TaskPool with cross-step dependencies (lookahead_enabled).
+/// remainder, both in fixed kRowBlock row blocks, each phase one
+/// parallel_for over the persistent TaskPool — the fixed decomposition is
+/// what makes every factor bit identical at every width.
 template <typename T>
 struct LuRun {
   using Scalar = T;
@@ -216,9 +212,6 @@ struct LuRun {
   std::vector<std::pair<index_t, index_t>> retire_pairs;  // (dst, src) swaps
   std::vector<index_t> pivots_per_x;
   PivotScratch<T> scr;
-
-  // Lookahead task handles (panel = this step's A10 trsm chunks).
-  StepTasks tasks;
 
   // Breakdown monitoring (DESIGN.md "Failure model"): strictly read-only on
   // the data path — a healthy run's factors are bitwise those of a run with
@@ -318,9 +311,8 @@ struct LuRun {
   }
 
   /// Retirement pass 2: replay the recorded swaps, in order, on the lazy
-  /// columns [col1, npad). Must run after the previous step's lazy Schur
-  /// tasks (which write those columns) and after the pivot-row gather
-  /// (which reads the winners' lazy values from their original slots).
+  /// columns [col1, npad). Must run after the pivot-row gather (which reads
+  /// the winners' lazy values from their original slots).
   void retire_rows_lazy(index_t col1) {
     for (const auto& [dst, src] : retire_pairs) {
       const T* s = &trail(src, col1);
@@ -561,9 +553,7 @@ void reduce_block_column(LuRun<T>& run, index_t t) {
 // ---------------------------------------------------------------------------
 // Step 2: tournament pivoting (butterfly over the Px column owners). Fills
 // run.winners (pivot order) and, in Real mode, run.a00 with the factored
-// leading block. With lookahead the caller has already waited for the
-// previous step's urgent stripe — the only data this step reads — so this
-// runs while the previous lazy remainder is still in flight.
+// leading block.
 // ---------------------------------------------------------------------------
 template <typename T>
 void tournament_pivot(LuRun<T>& run, index_t t) {
@@ -771,9 +761,7 @@ void scatter_panel_1d(LuRun<T>& run, index_t t, bool row_panel, index_t items,
 // ---------------------------------------------------------------------------
 // Step 5: reduce the v pivot rows' trailing columns across the layers. In
 // Real mode this gathers the winners' packed rows into this step's
-// pivot-row workspace (the last read of those rows before they retire);
-// with lookahead it first drains the previous step's lazy Schur tasks,
-// which are the producers of those trailing values.
+// pivot-row workspace (the last read of those rows before they retire).
 // ---------------------------------------------------------------------------
 template <typename T>
 void reduce_pivot_rows(LuRun<T>& run, index_t t, MatrixView<T>* pivotrows) {
@@ -798,14 +786,15 @@ void reduce_pivot_rows(LuRun<T>& run, index_t t, MatrixView<T>* pivotrows) {
     }
   }
   if (run.real && ncols > 0) {
-    run.tasks.wait_lazy();
-    *pivotrows = run.ws.template mat<T>(
-        (t & 1) != 0 ? kPivotRows1 : kPivotRows0, run.v, ncols);
-    sched::TaskPool::instance().parallel_for(run.v, [&](index_t l) {
-      const index_t pi = run.winner_slots[static_cast<std::size_t>(l)];
-      const T* src = &run.trail(pi, (t + 1) * run.v);
-      std::copy(src, src + ncols, pivotrows->row(l));
-    });
+    *pivotrows = run.ws.template mat<T>(kPivotRows, run.v, ncols);
+    sched::TaskPool::instance().parallel_for(
+        run.v,
+        [&](index_t l) {
+          const index_t pi = run.winner_slots[static_cast<std::size_t>(l)];
+          const T* src = &run.trail(pi, (t + 1) * run.v);
+          std::copy(src, src + ncols, pivotrows->row(l));
+        },
+        "pivot-rows-gather", static_cast<long long>(t));
     // Winners' trailing rows read from the accumulator + workspace write.
     g_dm_pivot_rows_gather.add(static_cast<double>(run.v) * 2.0 *
                                static_cast<double>(ncols) *
@@ -876,12 +865,10 @@ void distribute_panels_2p5d(LuRun<T>& run, index_t t, index_t a10_rows) {
 // ordered k loop realizes the pz k-slices in ascending z, which is exactly
 // the layered partial-sum arithmetic.
 //
-// The update is decomposed — in the charges AND in the executed tasks, in
-// both execution modes — into the URGENT stripe (the next panel's v
-// columns, the only data step t+1's tournament needs) and the LAZY
-// remainder, each in fixed kRowBlock row-block tasks. With lookahead the
-// tasks go to the pool, depending only on this step's A10 solve; without,
-// the identical tasks run synchronously, so the factors agree bitwise.
+// The update is decomposed — in the charges AND in the executed work —
+// into the URGENT stripe (the next panel's v columns, the only data step
+// t+1's tournament needs) and the LAZY remainder, each in fixed kRowBlock
+// row blocks, so the factors agree bitwise at every width.
 // ---------------------------------------------------------------------------
 template <typename T>
 void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
@@ -922,8 +909,6 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
     }
   }
 
-  run.tasks.urgent.clear();
-  run.tasks.lazy.clear();
   if (run.real && ncols > 0 && run.nact > 0) {
     const index_t nact = run.nact;
     ConstMatrixView<T> a10 = run.trail.block(0, t * run.v, nact, run.v);
@@ -962,12 +947,10 @@ void update_a11(LuRun<T>& run, index_t t, ConstMatrixView<T> pivotrows) {
                      pivotrows.block(0, run.v, run.v, lcols), T{1},
                      run.trail.block(i0, (t + 1) * run.v + run.v, bn, lcols));
     };
-    run.tasks.launch(run.tasks.urgent, 0, nblocks, urgent_block, "schur-urgent",
-                     sched::TaskCategory::Urgent, t, run.tasks.panel);
-    if (lcols > 0) {
-      run.tasks.launch(run.tasks.lazy, 0, nblocks, lazy_block, "schur-lazy",
-                       sched::TaskCategory::Lazy, t, run.tasks.panel);
-    }
+    sched::TaskPool& pool = sched::TaskPool::instance();
+    const auto step = static_cast<long long>(t);
+    pool.parallel_for(nblocks, urgent_block, "schur-urgent", step);
+    if (lcols > 0) pool.parallel_for(nblocks, lazy_block, "schur-lazy", step);
   }
   run.m.step_barrier();
 }
@@ -979,9 +962,6 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
   rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops,
               [&] { reduce_block_column(*this, t); });
 
-  // The tournament reads only the urgent stripe the previous step's
-  // urgent tasks produced; the previous lazy remainder keeps running.
-  tasks.wait_urgent();
   if (real && nact > 0 && fault::enabled() &&
       fault::should_inject(fault::Site::kPanelNaN)) {
     trail(0, t * v) = std::numeric_limits<T>::quiet_NaN();
@@ -1008,9 +988,8 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
       }
     }
     // Capture the winners' packed slots (the pivot-row gather reads their
-    // lazy columns from here), then run the urgent retirement pass: the
-    // next panel's columns are complete, so the A10 solve can start while
-    // the previous step's lazy remainder is still landing.
+    // lazy columns from here), then run the urgent retirement pass on the
+    // panel's columns.
     winner_slots.clear();
     for (index_t w : winners) {
       winner_slots.push_back(rowpos[static_cast<std::size_t>(w)]);
@@ -1036,9 +1015,7 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
   // solve are exact: Right-side solves are row-independent, Left-side
   // column-independent). A10 is solved IN PLACE in the packed workspace:
   // the solved values are both this step's L columns (copied to lstore)
-  // and the Schur update's left operand. With lookahead the A10 chunks go
-  // to the pool NOW — before the master blocks on the previous lazy
-  // remainder — because they only touch the urgent stripe.
+  // and the Schur update's left operand.
   sched::TaskPool& pool = sched::TaskPool::instance();
   const int p = m.ranks();
   MatrixView<T> a10 = real ? trail.block(0, t * v, nact, v) : MatrixView<T>();
@@ -1059,11 +1036,6 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
          static_cast<double>(v) * static_cast<double>(v)) *
         static_cast<double>(sizeof(T)));
   };
-  tasks.panel.clear();
-  if (real && tasks.la && a10_rows > 0) {
-    tasks.launch(tasks.panel, 0, p, a10_chunk, "panel-trsm-a10",
-                 sched::TaskCategory::Other, t, {});
-  }
 
   // Step 4: scatter A10; step 5: reduce pivot rows; step 6: scatter A01.
   rec.measure(&StepCosts::panels_words, &StepCosts::panels_flops, [&] {
@@ -1095,30 +1067,35 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
       if (cols_r > 0) m.charge_flops(r, cols_r * vv * vv);
     }
     if (real) {
-      if (!tasks.la && a10_rows > 0) {
-        pool.parallel_for(p, a10_chunk);
-      }
+      const auto step = static_cast<long long>(t);
+      if (a10_rows > 0) pool.parallel_for(p, a10_chunk, "panel-trsm-a10", step);
       if (ncols > 0) {
         // A01 <- L00^{-1} * A01: final U rows of the pivots. Each chunk
         // then scans its solved columns read-only (non-finite flag and
         // max|U| for the growth factor) while they are still in cache.
-        pool.parallel_for(p, [&](index_t r) {
-          const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
-          const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
-          MagnitudeScan scan;
-          if (cnt > 0) {
-            xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
-                           T{1}, a00.view(), pivotrows.block(0, lo, v, cnt));
-            for (index_t l = 0; l < v; ++l) scan.add(pivotrows.row(l) + lo, cnt);
-          }
-          uscan[static_cast<std::size_t>(r)] = scan;
-        });
-        pool.parallel_for(v, [&](index_t l) {
-          const index_t row = winners[static_cast<std::size_t>(l)];
-          for (index_t j = 0; j < ncols; ++j) {
-            lstore(row, (t + 1) * v + j) = pivotrows(l, j);
-          }
-        });
+        pool.parallel_for(
+            p,
+            [&](index_t r) {
+              const index_t lo = chunk_offset(ncols, p, static_cast<int>(r));
+              const index_t cnt = chunk_size(ncols, p, static_cast<int>(r));
+              MagnitudeScan scan;
+              if (cnt > 0) {
+                xblas::trsm<T>(Side::Left, UpLo::Lower, Trans::None, Diag::Unit,
+                               T{1}, a00.view(), pivotrows.block(0, lo, v, cnt));
+                for (index_t l = 0; l < v; ++l) scan.add(pivotrows.row(l) + lo, cnt);
+              }
+              uscan[static_cast<std::size_t>(r)] = scan;
+            },
+            "panel-trsm-a01", step);
+        pool.parallel_for(
+            v,
+            [&](index_t l) {
+              const index_t row = winners[static_cast<std::size_t>(l)];
+              for (index_t j = 0; j < ncols; ++j) {
+                lstore(row, (t + 1) * v + j) = pivotrows(l, j);
+              }
+            },
+            "store-u-rows", step);
         // A01 trsm read+write, the L00 operand, and the lstore copy.
         g_dm_panel_solve.add(
             (4.0 * static_cast<double>(v) * static_cast<double>(ncols) +
@@ -1145,9 +1122,6 @@ void LuRun<T>::step(index_t t, StepCostRecorder& rec) {
   if (abft) {
     // Advance the row-sum checksums to cover the post-update trailing
     // accumulator: sum'[i] = sum[i] - panel[i] - (solved A10 row i)·urow.
-    // The solved A10 chunks feed both this and the Schur tasks, so with
-    // lookahead they must all have landed in lstore first.
-    tasks.wait_panel();
     apply_abft_update<T>(*this, t, pivotrows, ncols);
   }
 
@@ -1179,7 +1153,7 @@ LuResultT<T> run_conflux_lu(xsim::Machine& m, const grid::Grid3D& g, index_t n,
   const double panel_words = 3.0 * static_cast<double>(npad * v) /
                                  static_cast<double>(m.ranks()) +
                              static_cast<double>(v * v);
-  StepLoop loop(m, opt, run.real, tile_words + panel_words, run.tasks);
+  StepLoop loop(m, opt, run.real, tile_words + panel_words);
 
   run.perm_pad.reserve(static_cast<std::size_t>(npad));
   if (run.real) {

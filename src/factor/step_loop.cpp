@@ -1,23 +1,12 @@
 #include "factor/step_loop.hpp"
 
-#include <exception>
-
 namespace conflux::factor {
 
-MachineLease::MachineLease(xsim::Machine& m, double words, const StepTasks& tasks)
-    : m_(m), words_(words), tasks_(tasks) {
+MachineLease::MachineLease(xsim::Machine& m, double words) : m_(m), words_(words) {
   for (int r = 0; r < m_.ranks(); ++r) m_.alloc(r, words_);
 }
 
 MachineLease::~MachineLease() {
-  if (tasks_.la && std::uncaught_exceptions() > 0) {
-    try {
-      sched::TaskPool::instance().wait_all();
-    } catch (...) {
-      // The primary error is already unwinding; pool errors were either it
-      // or its cascade.
-    }
-  }
   for (int r = 0; r < m_.ranks(); ++r) m_.release(r, words_);
 }
 
@@ -51,15 +40,12 @@ FactorHealth get_health(recover::SnapshotReader& r,
 }
 
 StepLoop::StepLoop(xsim::Machine& m, const FactorOptions& opt, bool real,
-                   double lease_words, StepTasks& tasks)
+                   double lease_words)
     : m_(m),
-      tasks_(tasks),
-      lease_(m, lease_words, tasks),
+      lease_(m, lease_words),
       real_(real),
       ropt_(recover::options()),
       abft_(real && ropt_.abft),
-      rec_(m, opt.record_step_costs) {
-  tasks_.la = real && lookahead_enabled(opt);
-}
+      rec_(m, opt.record_step_costs) {}
 
 }  // namespace conflux::factor

@@ -66,58 +66,11 @@ inline const metrics::Counter g_abft_reexec("recover.abft.reexec");
 /// still surfaces as kDataCorruption instead of looping forever.
 inline constexpr int kMaxAbftReexecs = 8;
 
-/// Handles of the tasks a step leaves on the pool when lookahead pipelining
-/// is on (all empty otherwise): the panel-solve chunks and the urgent/lazy
-/// Schur pieces. Both cores wait and launch through it, so their lookahead
-/// drains live here: on the step-synchronous path a wait is a no-op and a
-/// launch is one parallel_for.
-struct StepTasks {
-  bool la = false;  ///< lookahead pipelining on the persistent task pool
-  std::vector<sched::TaskId> panel, urgent, lazy;
-
-  void wait_panel() const { wait(panel); }
-  void wait_urgent() const { wait(urgent); }
-  void wait_lazy() const { wait(lazy); }
-  /// Wait for everything earlier steps left running.
-  void drain() const {
-    wait_panel();
-    wait_urgent();
-    wait_lazy();
-  }
-
-  /// Run body(i) for i in [first, last): one parallel_for, or — pipelined —
-  /// one pool task each, appended to `ids` and depending on `deps`. The
-  /// tasks are retryable: the injected transient fault fires before a body
-  /// runs, so a retried body has not run yet and re-running it is exact.
-  template <typename Body>
-  void launch(std::vector<sched::TaskId>& ids, index_t first, index_t last,
-              const Body& body, const char* name, sched::TaskCategory category,
-              index_t t, const std::vector<sched::TaskId>& deps) const {
-    sched::TaskPool& pool = sched::TaskPool::instance();
-    if (!la) {
-      pool.parallel_for(last - first, [&](index_t i) { body(first + i); });
-      return;
-    }
-    for (index_t i = first; i < last; ++i) {
-      ids.push_back(pool.submit([body, i] { body(i); }, name, category,
-                                static_cast<long long>(t), deps,
-                                /*retryable=*/true));
-    }
-  }
-
- private:
-  void wait(const std::vector<sched::TaskId>& ids) const {
-    if (la) sched::TaskPool::instance().wait(ids);
-  }
-};
-
 /// Simulated-memory lease of one run: allocates `words` on every rank and
-/// releases them on every exit path. On an error unwind with `tasks`
-/// pipelined it first drains the pool, since in-flight tasks reference run
-/// state that is about to be destroyed (the lease goes before that state).
+/// releases them on every exit path.
 class MachineLease {
  public:
-  MachineLease(xsim::Machine& m, double words, const StepTasks& tasks);
+  MachineLease(xsim::Machine& m, double words);
   ~MachineLease();
   MachineLease(const MachineLease&) = delete;
   MachineLease& operator=(const MachineLease&) = delete;
@@ -125,7 +78,6 @@ class MachineLease {
  private:
   xsim::Machine& m_;
   double words_;
-  const StepTasks& tasks_;
 };
 
 /// Throw kCheckpointInvalid: a corrupt or inconsistent snapshot never walks
@@ -190,7 +142,7 @@ bool abft_row_ok(std::span<const T> row, double predicted) {
 /// Read-only ABFT sweep of step t over rows [lo, hi): row(r) holds row r's
 /// live cells, predicted[r] their predicted sum. The sweep reads the whole
 /// live region — serial it alone would eat the ABFT overhead budget at
-/// n=2048 — so 128-row chunks fan out over the (drained) pool, each row
+/// n=2048 — so 128-row chunks fan out over the pool, each row
 /// scanned by one task: the verdict is identical at any width. The lowest
 /// bad row is reported as "(<what> <row>)" in a kDataCorruption error.
 template <typename T, typename Row>
@@ -247,15 +199,14 @@ auto try_factor(const char* entry, Factor factor, xsim::Machine& m,
   }
 }
 
-/// The step loop with in-run recovery. Construct it right after the run
-/// state, so its lease drains the pool before that state is torn down.
+/// The step loop with in-run recovery.
 class StepLoop {
  public:
-  /// Leases `lease_words` of simulated memory per rank, decides lookahead
-  /// for `tasks` (Real mode only), and resolves the recovery options once,
-  /// so a mid-run recover::configure() cannot tear the checkpoint cadence.
+  /// Leases `lease_words` of simulated memory per rank and resolves the
+  /// recovery options once, so a mid-run recover::configure() cannot tear
+  /// the checkpoint cadence.
   StepLoop(xsim::Machine& m, const FactorOptions& opt, bool real,
-           double lease_words, StepTasks& tasks);
+           double lease_words);
 
   /// ABFT checksums are maintained this run (Real mode with Options::abft).
   bool abft() const { return abft_; }
@@ -266,8 +217,7 @@ class StepLoop {
   /// of `costs`. ABFT-detected corruption rolls back to the latest snapshot
   /// (or to the input) and re-executes, at most kMaxAbftReexecs times per
   /// run. Every other error, including the injected kCrashSimulated,
-  /// unwinds; resume_* restarts a crashed run from its snapshot. Returns
-  /// with the pool drained.
+  /// unwinds; resume_* restarts a crashed run from its snapshot.
   template <typename Core>
   void run(Core& core, bool resume, double chain_per_step,
            std::vector<StepCosts>& costs);
@@ -277,7 +227,6 @@ class StepLoop {
   index_t restore(Core& core, const recover::SnapshotKey& key);
 
   xsim::Machine& m_;
-  StepTasks& tasks_;
   MachineLease lease_;
   bool real_;
   recover::Options ropt_;
@@ -303,24 +252,14 @@ void StepLoop::run(Core& core, bool resume, double chain_per_step,
     try {
       if (real_) {
         // Step-boundary hook. Each fault-site opportunity keeps its place in
-        // this order, so seeded soaks replay the same sequence. Checkpoint
-        // and verification both read state that must be quiescent, so the
-        // pipeline drains first — the one scheduling difference recovery
-        // introduces; healthy factors stay bitwise identical.
+        // this order, so seeded soaks replay the same sequence. Every step
+        // phase has finished by now, so checkpoint and verification read
+        // quiescent state; healthy factors stay bitwise identical.
         const bool ckpt_due = ropt_.ckpt_every > 0 && t % ropt_.ckpt_every == 0;
         // Checksums are maintained every step, but the full sweep re-reads
         // the whole live region — at bandwidth that alone can cost more
         // than the 10% overhead budget — so it runs every abft_every steps.
         const bool verifying = abft_ && t > 0 && t % ropt_.abft_every == 0;
-        if (ckpt_due || verifying) {
-          tasks_.drain();
-        } else if (abft_) {
-          // Maintenance-only step: the panel capture reads just tile column
-          // t, which the previous step's urgent pieces produce (its panel
-          // solves were waited for by the ABFT update); the lazy remainder
-          // keeps running behind it.
-          tasks_.wait_urgent();
-        }
         if (verifying) {
           typename Core::Scalar* cell = core.bitflip_target(t);
           if (fault::enabled() && cell != nullptr &&
@@ -369,7 +308,6 @@ void StepLoop::run(Core& core, bool resume, double chain_per_step,
       core.abft_init(t);
     }
   }
-  tasks_.drain();
 }
 
 /// Restore the latest snapshot into `core` (initialized from the input) and

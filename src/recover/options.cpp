@@ -23,10 +23,6 @@ Options env_options() {
     opt.abft_every = std::strtoll(s, nullptr, 10);
     if (opt.abft_every < 1) opt.abft_every = 1;
   }
-  if (const char* s = std::getenv("CONFLUX_TASK_RETRIES"); s != nullptr && *s != '\0') {
-    const long v = std::strtol(s, nullptr, 10);
-    opt.task_retries = v < 0 ? 0 : static_cast<int>(v);
-  }
   return opt;
 }
 

@@ -1,7 +1,7 @@
 // Recovery configuration (DESIGN.md "Recovery model"): one env-resolved
-// options block shared by the three recovery layers — bounded task retry
-// (sched/taskpool), step-granular checkpoint/restart and ABFT checksum
-// verification (factor cores + recover/snapshot).
+// options block shared by the two recovery layers — step-granular
+// checkpoint/restart and ABFT checksum verification (the step loop +
+// recover/snapshot).
 //
 // Like support/fault.hpp, configuration comes from the environment (read
 // once, at first use) or programmatically (tests and benches; overrides the
@@ -19,8 +19,6 @@
 //                         abft_every steps (off by default)
 //   CONFLUX_ABFT_EVERY    steps between verification sweeps (default
 //                         kDefaultAbftEvery; 1 = verify after every step)
-//   CONFLUX_TASK_RETRIES  retry budget per retryable pool task for
-//                         transient-classified failures (default 3)
 #pragma once
 
 #include <cstdint>
@@ -47,7 +45,6 @@ struct Options {
   std::string ckpt_dir;         ///< "" = in-memory registry only
   bool abft = false;            ///< checksum maintenance + periodic sweeps
   std::int64_t abft_every = kDefaultAbftEvery;  ///< steps between sweeps
-  int task_retries = 3;         ///< transient-failure retry budget per task
 };
 
 /// The active options (programmatic if installed, else environment).
@@ -66,7 +63,7 @@ void reset();
 /// and a service churning through requests would clobber a checkpoint a
 /// crashed batch run left behind for resume. Service executor threads
 /// therefore suppress checkpoint WRITES for the requests they run (ABFT
-/// and task retry stay as configured: both are confined to one run).
+/// stays as configured: it is confined to one run).
 /// options() reports ckpt_every = 0 / ckpt_dir = "" while a suppression
 /// guard is live on the calling thread.
 bool checkpoints_suppressed();

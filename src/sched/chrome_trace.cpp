@@ -31,15 +31,6 @@ const char* track_name(Slice::Track track) {
   return "?";
 }
 
-const char* category_name(TaskCategory c) {
-  switch (c) {
-    case TaskCategory::Urgent: return "urgent";
-    case TaskCategory::Lazy: return "lazy";
-    case TaskCategory::Other: return "other";
-  }
-  return "?";
-}
-
 /// Metadata event naming a trace process or thread.
 void write_meta(json::Writer& w, const char* what, int pid, int tid,
                 const std::string& name) {
@@ -69,7 +60,7 @@ void begin_complete(json::Writer& w, std::string_view name, const char* cat,
 }
 
 /// The task-pool process (pid `pid`): one thread per worker, one "X" event
-/// per executed task. Shared by the task trace and the unified trace.
+/// per executed parallel_for index.
 std::size_t write_task_events(json::Writer& w, int pid,
                               const std::vector<TaskSlice>& slices) {
   std::size_t count = 0;
@@ -84,8 +75,8 @@ std::size_t write_task_events(json::Writer& w, int pid,
     ++count;
   }
   for (const TaskSlice& s : slices) {
-    begin_complete(w, s.name, category_name(s.category), pid, s.worker,
-                   s.start_s, s.end_s - s.start_s);
+    begin_complete(w, s.name, "pool", pid, s.worker, s.start_s,
+                   s.end_s - s.start_s);
     w.key("args");
     w.begin_object();
     w.field("step", s.step);
@@ -177,28 +168,6 @@ bool write_chrome_trace_file(const std::string& path, const Timeline& timeline) 
   std::ofstream out(path);
   if (!out) return false;
   write_chrome_trace(out, timeline);
-  return out.good();
-}
-
-std::size_t write_task_trace(std::ostream& os,
-                             const std::vector<TaskSlice>& slices) {
-  json::Writer w(os);
-  w.begin_object();
-  w.field("displayTimeUnit", "ms");
-  w.key("traceEvents");
-  w.begin_array();
-  const std::size_t count = write_task_events(w, 0, slices);
-  w.end_array();
-  w.end_object();
-  os << "\n";
-  return count;
-}
-
-bool write_task_trace_file(const std::string& path,
-                           const std::vector<TaskSlice>& slices) {
-  std::ofstream out(path);
-  if (!out) return false;
-  write_task_trace(out, slices);
   return out.good();
 }
 

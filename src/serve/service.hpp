@@ -28,7 +28,7 @@
 // Factorizations run under recover::ScopedCheckpointSuppression — the
 // snapshot registry is keyed (kind, scalar, n, v, grid) without a tenant
 // axis, so service traffic must not clobber a batch run's resumable state.
-// ABFT checksums and task retry stay active as configured.
+// ABFT checksums stay active as configured.
 #pragma once
 
 #include <chrono>

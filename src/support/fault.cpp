@@ -17,16 +17,21 @@ namespace {
 /// snapshot/export path as everything else; fault_injection_test reconciles
 /// these against the classified Statuses each run produces.
 const metrics::Counter& fired_counter(Site site) {
-  static const metrics::Counter counters[kSiteCount] = {
-      metrics::Counter("fault.fired.panel-nan"),
-      metrics::Counter("fault.fired.zero-pivot"),
-      metrics::Counter("fault.fired.task-throw"),
-      metrics::Counter("fault.fired.worker-stall"),
-      metrics::Counter("fault.fired.transient-task-throw"),
-      metrics::Counter("fault.fired.crash-at-step"),
-      metrics::Counter("fault.fired.bitflip"),
-  };
-  return counters[static_cast<int>(site)];
+  static const metrics::Counter panel_nan("fault.fired.panel-nan");
+  static const metrics::Counter zero_pivot("fault.fired.zero-pivot");
+  static const metrics::Counter task_throw("fault.fired.task-throw");
+  static const metrics::Counter worker_stall("fault.fired.worker-stall");
+  static const metrics::Counter crash_at_step("fault.fired.crash-at-step");
+  static const metrics::Counter bitflip("fault.fired.bitflip");
+  switch (site) {
+    case Site::kPanelNaN: return panel_nan;
+    case Site::kZeroPivot: return zero_pivot;
+    case Site::kTaskThrow: return task_throw;
+    case Site::kWorkerStall: return worker_stall;
+    case Site::kCrashAtStep: return crash_at_step;
+    case Site::kBitflip: return bitflip;
+  }
+  return bitflip;
 }
 
 /// splitmix64: the standard 64-bit finalizer-style mixer — full avalanche,
@@ -122,7 +127,6 @@ const char* site_name(Site site) {
     case Site::kZeroPivot: return "zero-pivot";
     case Site::kTaskThrow: return "task-throw";
     case Site::kWorkerStall: return "worker-stall";
-    case Site::kTransientTaskThrow: return "transient-task-throw";
     case Site::kCrashAtStep: return "crash-at-step";
     case Site::kBitflip: return "bitflip";
   }

@@ -16,22 +16,19 @@
 //   CONFLUX_FAULT_RATE     injection probability per opportunity (default 0)
 //   CONFLUX_FAULT_SITES    comma list of sites to arm (default: all):
 //                          panel-nan, zero-pivot, task-throw, worker-stall,
-//                          transient-task-throw, crash-at-step, bitflip
+//                          crash-at-step, bitflip
 //   CONFLUX_FAULT_STALL_S  injected worker-stall duration in seconds
 //
 // Sites:
 //   kPanelNaN    poison one entry of the current panel with a quiet NaN
 //                before tournament pivoting reads it
 //   kZeroPivot   force an exactly-zero pivot in the factored A00 block
-//   kTaskThrow   throw std::runtime_error from inside a pool task
-//   kWorkerStall sleep a pool worker for stall_s before running its task
-//                (cooperative: the stall aborts when the pool cancels)
-//   kTransientTaskThrow
-//                throw a transient-classified status_error from inside a
-//                retryable pool task; the per-site counter advances on
-//                every opportunity, so a re-executed task draws a fresh
-//                decision and (at rate < 1) eventually succeeds — the
-//                "fails N times, then succeeds" soak for bounded retry
+//   kTaskThrow   throw std::runtime_error before an index of an outermost
+//                TaskPool::parallel_for runs its body (at any width)
+//   kWorkerStall sleep a pool worker for stall_s before it runs an index of
+//                an outermost parallel_for (cooperative: the stall aborts,
+//                and the body is skipped, when the pool cancels); the
+//                master never stalls, since it is the one watching
 //   kCrashAtStep abort the factorization at a step boundary exactly as a
 //                killed process would (kCrashSimulated status), leaving
 //                the last checkpoint behind for the resume_* entry points
@@ -48,10 +45,12 @@ enum class Site : int {
   kZeroPivot = 1,
   kTaskThrow = 2,
   kWorkerStall = 3,
-  kTransientTaskThrow = 4,
+  // 4 belonged to a retired site; the values stay because each seeds the
+  // site's injection decisions.
   kCrashAtStep = 5,
   kBitflip = 6,
 };
+/// One past the highest site value.
 inline constexpr int kSiteCount = 7;
 
 /// Stable site name ("panel-nan", ...), the CONFLUX_FAULT_SITES vocabulary.

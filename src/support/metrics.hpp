@@ -11,13 +11,13 @@
 //
 //   2. Read-only on the data path. Instrumentation never changes what is
 //      computed — the factor cores' bitwise-determinism guarantees (factors
-//      identical across threads x pz x lookahead x metrics on/off) hold
+//      identical across threads x pz x metrics on/off) hold
 //      because a counter add is the ONLY side effect.
 //
 //   3. Exact concurrent counts. Each thread owns a private sink cell per
 //      counter: an increment is a relaxed load+store on a cell no other
 //      thread writes, so no increment is ever lost, and a quiescent-point
-//      snapshot (after wait_all/join) sums exactly. Snapshots taken DURING
+//      snapshot (after a parallel_for/join) sums exactly. Snapshots taken DURING
 //      concurrent recording are racy-but-coherent: each cell reads as a
 //      value it held at some point, never a torn word (cells are atomics).
 //

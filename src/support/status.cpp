@@ -16,7 +16,6 @@ std::string_view status_code_name(StatusCode code) {
     case StatusCode::kTaskFailed: return "task-failed";
     case StatusCode::kPoolWedged: return "pool-wedged";
     case StatusCode::kCancelled: return "cancelled";
-    case StatusCode::kTransientTaskFailure: return "transient-task-failure";
     case StatusCode::kCheckpointInvalid: return "checkpoint-invalid";
     case StatusCode::kDataCorruption: return "data-corruption";
     case StatusCode::kCrashSimulated: return "crash-simulated";

@@ -53,18 +53,14 @@ enum class StatusCode : int {
   kRefineStagnated,
   /// A refinement correction made the backward error worse.
   kRefineDiverged,
-  /// A task on the execution pool threw; the message carries the original
-  /// exception's text.
+  /// A parallel_for index on the execution pool threw; the message carries
+  /// the original exception's text.
   kTaskFailed,
-  /// The pool watchdog saw no task retire for a full interval while the
-  /// master was blocked: a wedged worker or a dependency deadlock.
+  /// The pool watchdog saw no index finish for a full interval while the
+  /// master was blocked: a wedged worker.
   kPoolWedged,
   /// Work was skipped because a prior failure cancelled the step.
   kCancelled,
-  /// A pool task failed in a way classified as transient (lost work, an
-  /// injected transient-task-throw): retryable, and surfaced only after the
-  /// bounded retry budget is exhausted.
-  kTransientTaskFailure,
   /// A checkpoint snapshot failed validation: bad magic, version mismatch,
   /// truncated payload, or checksum mismatch. Never undefined behaviour —
   /// a corrupt snapshot is rejected before any byte is interpreted.

@@ -201,8 +201,7 @@ TEST(Obs, FactorsBitwiseIdenticalWithMetricsOnAndOff) {
   const index_t n = 64;
   const grid::Grid3D g(2, 2, 1);
   const MatrixD a = random_matrix(n, n, 99);
-  factor::FactorOptions opt = small_options();
-  opt.lookahead = 1;
+  const factor::FactorOptions opt = small_options();
 
   factor::LuResult off_run, on_run;
   {
@@ -327,8 +326,7 @@ TEST(Obs, UnifiedTraceIsValidJsonWithAllThreeTracks) {
   const index_t n = 64;
   const grid::Grid3D g(2, 2, 1);
   const MatrixD a = random_matrix(n, n, 21);
-  factor::FactorOptions opt = small_options();
-  opt.lookahead = 1;  // pool tasks must exist for the pool track
+  const factor::FactorOptions opt = small_options();
 
   pool.start_recording();
   prof::start_capture();
@@ -341,6 +339,7 @@ TEST(Obs, UnifiedTraceIsValidJsonWithAllThreeTracks) {
 
   EXPECT_FALSE(cap.spans.empty());
   EXPECT_FALSE(cap.samples.empty());
+  EXPECT_FALSE(slices.empty());
 
   std::ostringstream os;
   const std::size_t events = sched::write_unified_trace(os, slices, cap);

@@ -1,16 +1,16 @@
 // Regression coverage for the packed trailing-workspace Real-mode data path
-// (DESIGN.md "Packed trailing workspace" / "Pipelined execution"):
+// (DESIGN.md "Packed trailing workspace" / "The urgent/lazy Schur split"):
 //  - factors are bitwise identical to a serial golden-path recomputation
 //    that mirrors the schedule's arithmetic step by step (dominant matrices
 //    pin the tournament to the natural pivot order, so the golden path is
 //    an ordinary blocked right-looking factorization with the schedule's
 //    exact call shapes — including the urgent/lazy Schur split);
-//  - factors are bitwise identical across pool widths, across
-//    replication depths pz, and with lookahead pipelining on vs off (the
-//    task decomposition is fixed; only who-runs-when changes);
+//  - factors are bitwise identical across pool widths and across
+//    replication depths pz (the decomposition is fixed; only who runs an
+//    index changes);
 //  - the recorded peak workspace stays near npad^2-scale (LU: trail +
-//    lstore + the double-buffered pivot-row panel; Cholesky: the single
-//    fused buffer), not (pz + 1) * npad^2;
+//    lstore + the pivot-row panel; Cholesky: the single fused buffer), not
+//    (pz + 1) * npad^2;
 //  - the steady state allocates nothing: the per-run scratch (tournament
 //    gathers, retirement pairs, grid-line caches) is sized once, so the
 //    heap-allocation count of a run does not depend on the step count.
@@ -397,8 +397,7 @@ TEST(PackedFp32, WorkspaceReportsHalvedFootprint) {
 
 TEST(PackedWorkspace, PeakWordsStayNearTwoMatricesForLu) {
   // Old data path: (pz + 1) * npad^2 resident words. Packed path: trail +
-  // lstore + the double-buffered pivot-row arena (two O(npad * v) slots so
-  // lookahead's lazy tasks can outlive the step), independent of pz.
+  // lstore + the O(npad * v) pivot-row arena, independent of pz.
   const index_t n = 96, v = 16;
   const double npad2 = static_cast<double>(n) * static_cast<double>(n);
   const double slots = 2.5 * static_cast<double>(n) * static_cast<double>(v);
@@ -412,12 +411,12 @@ TEST(PackedWorkspace, PeakWordsStayNearTwoMatricesForLu) {
   }
 }
 
-// ------------------------------------------------ lookahead invariance ----
+// ------------------------------------------------ execution invariance ----
 
-TEST(Lookahead, FactorsBitwiseIdenticalWithLookaheadOnAndOff) {
-  // The urgent/lazy task decomposition is fixed; lookahead only changes
-  // which worker runs a task when, so every factor bit must agree across
-  // lookahead on/off, thread counts, and replication depths.
+TEST(Invariance, FactorsBitwiseIdenticalAcrossWidthsAndReplication) {
+  // The urgent/lazy decomposition is fixed; the width only changes which
+  // worker runs an index, so every factor bit must agree across thread
+  // counts and replication depths.
   const index_t n = 100, v = 16;
   const MatrixD a = random_matrix(n, n, 91);
   const MatrixD spd = random_spd_matrix(n, 97);
@@ -427,29 +426,22 @@ TEST(Lookahead, FactorsBitwiseIdenticalWithLookaheadOnAndOff) {
   bool have_ref = false;
   for (const int pz : {1, 2}) {
     for (const int threads : {1, 4}) {
-      for (const int lookahead : {0, 1}) {
-        const grid::Grid3D g(2, 2, pz);
-        const xblas::ScopedThreadCap cap(threads);
-        FactorOptions opt;
-        opt.block_size = v;
-        opt.lookahead = lookahead;
-        xsim::Machine mlu = make_machine(g, n);
-        xsim::Machine mch = make_machine(g, n);
-        LuResult lu = conflux_lu(mlu, g, a.view(), opt);
-        CholResult ch = confchox(mch, g, spd.view(), opt);
-        if (!have_ref) {
-          lu_ref = std::move(lu);
-          ch_ref = std::move(ch);
-          have_ref = true;
-          continue;
-        }
-        EXPECT_EQ(lu_ref.perm, lu.perm)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
-        EXPECT_EQ(lu_ref.factors, lu.factors)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
-        EXPECT_EQ(ch_ref.factors, ch.factors)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
+      const grid::Grid3D g(2, 2, pz);
+      const xblas::ScopedThreadCap cap(threads);
+      const FactorOptions opt{.block_size = v};
+      xsim::Machine mlu = make_machine(g, n);
+      xsim::Machine mch = make_machine(g, n);
+      LuResult lu = conflux_lu(mlu, g, a.view(), opt);
+      CholResult ch = confchox(mch, g, spd.view(), opt);
+      if (!have_ref) {
+        lu_ref = std::move(lu);
+        ch_ref = std::move(ch);
+        have_ref = true;
+        continue;
       }
+      EXPECT_EQ(lu_ref.perm, lu.perm) << "pz=" << pz << " threads=" << threads;
+      EXPECT_EQ(lu_ref.factors, lu.factors) << "pz=" << pz << " threads=" << threads;
+      EXPECT_EQ(ch_ref.factors, ch.factors) << "pz=" << pz << " threads=" << threads;
     }
   }
 }
@@ -459,8 +451,8 @@ TEST(Lookahead, FactorsBitwiseIdenticalWithLookaheadOnAndOff) {
 TEST(Recovery, SaveThenRestoreIsBitwiseAcrossConfigurations) {
   // A checkpointed run followed by a resume from its LAST snapshot must
   // reproduce the uninterrupted factors bitwise, in every execution
-  // configuration the other invariance tests cover: replication depth,
-  // pool width, and lookahead on/off, for both factor cores. The
+  // configuration the other invariance tests cover: replication depth and
+  // pool width, for both factor cores. The
   // interval (4 of 7 tiles) leaves a multi-step tail to re-execute.
   const index_t n = 100, v = 16;
   const MatrixD a = random_matrix(n, n, 107);
@@ -470,29 +462,22 @@ TEST(Recovery, SaveThenRestoreIsBitwiseAcrossConfigurations) {
   recover::ScopedOptions so(ro);
   for (const int pz : {1, 2, 4}) {
     for (const int threads : {1, 4}) {
-      for (const int lookahead : {0, 1}) {
-        const grid::Grid3D g(2, 2, pz);
-        const xblas::ScopedThreadCap cap(threads);
-        FactorOptions opt;
-        opt.block_size = v;
-        opt.lookahead = lookahead;
-        recover::clear();
-        xsim::Machine mlu = make_machine(g, n);
-        const LuResult lu = conflux_lu(mlu, g, a.view(), opt);
-        xsim::Machine mlu2 = make_machine(g, n);
-        const LuResult lu2 = resume_conflux_lu(mlu2, g, a.view(), opt);
-        recover::clear();
-        xsim::Machine mch = make_machine(g, n);
-        const CholResult ch = confchox(mch, g, spd.view(), opt);
-        xsim::Machine mch2 = make_machine(g, n);
-        const CholResult ch2 = resume_confchox(mch2, g, spd.view(), opt);
-        EXPECT_EQ(lu.perm, lu2.perm)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
-        EXPECT_EQ(lu.factors, lu2.factors)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
-        EXPECT_EQ(ch.factors, ch2.factors)
-            << "pz=" << pz << " threads=" << threads << " la=" << lookahead;
-      }
+      const grid::Grid3D g(2, 2, pz);
+      const xblas::ScopedThreadCap cap(threads);
+      const FactorOptions opt{.block_size = v};
+      recover::clear();
+      xsim::Machine mlu = make_machine(g, n);
+      const LuResult lu = conflux_lu(mlu, g, a.view(), opt);
+      xsim::Machine mlu2 = make_machine(g, n);
+      const LuResult lu2 = resume_conflux_lu(mlu2, g, a.view(), opt);
+      recover::clear();
+      xsim::Machine mch = make_machine(g, n);
+      const CholResult ch = confchox(mch, g, spd.view(), opt);
+      xsim::Machine mch2 = make_machine(g, n);
+      const CholResult ch2 = resume_confchox(mch2, g, spd.view(), opt);
+      EXPECT_EQ(lu.perm, lu2.perm) << "pz=" << pz << " threads=" << threads;
+      EXPECT_EQ(lu.factors, lu2.factors) << "pz=" << pz << " threads=" << threads;
+      EXPECT_EQ(ch.factors, ch2.factors) << "pz=" << pz << " threads=" << threads;
     }
   }
 }
@@ -564,10 +549,8 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
   // Every per-step buffer — tournament gathers, candidate sets, retirement
   // pairs, pivot-row panels, grid-line groups — lives in per-run scratch
   // sized at its step-0 high-water mark, so the number of heap allocations
-  // a run performs must not depend on how many steps it has. Single thread
-  // and lookahead off: task submission boxes closures on the heap by
-  // design, and worker TLS warm-up is thread-assignment dependent (the
-  // CONFLUX_LOOKAHEAD CI legs cover the pipelined path's correctness).
+  // a run performs must not depend on how many steps it has. Single
+  // thread: worker TLS warm-up is thread-assignment dependent.
   const index_t v = 16;
   const grid::Grid3D g(2, 2, 2);
   const xblas::ScopedThreadCap one(1);
@@ -575,9 +558,7 @@ TEST(PackedWorkspace, SteadyStateAllocationCountIsStepIndependent) {
     const MatrixD a =
         random_dominant_matrix(n, 200 + static_cast<std::uint64_t>(n));
     xsim::Machine m = make_machine(g, n);
-    FactorOptions opt;
-    opt.block_size = v;
-    opt.lookahead = 0;
+    const FactorOptions opt{.block_size = v};
     const long long before = g_alloc_count.load(std::memory_order_relaxed);
     const LuResult lu = conflux_lu(m, g, a.view(), opt);
     const long long during =
@@ -627,9 +608,7 @@ TEST(PackedHandoff, ResidentWordsMatchRetainedStorage) {
   const index_t v = 16;
   const grid::Grid3D g(2, 2, 2);
   const xblas::ScopedThreadCap one(1);
-  FactorOptions opt;
-  opt.block_size = v;
-  opt.lookahead = 0;
+  const FactorOptions opt{.block_size = v};
   for (const index_t n : {6 * v, 6 * v - 1}) {
     const MatrixD a = random_dominant_matrix(n, 500 + static_cast<std::uint64_t>(n));
     const MatrixD spd = random_spd_matrix(n, 600 + static_cast<std::uint64_t>(n));

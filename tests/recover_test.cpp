@@ -1,17 +1,12 @@
-// Recoverable factorization (DESIGN.md "Recovery model"): the three layers —
-// bounded task retry, step-granular checkpoint/restart, ABFT checksum
-// verification with re-execution — under deterministic fault injection.
-// The contract everywhere is bitwise: a crash-resumed run, a retry-absorbed
-// run, and an ABFT-recovered run all produce EXACTLY the factors of the
-// undisturbed run, and a run with any recovery feature enabled but no fault
-// injected is bitwise identical to one with the feature off.
+// Recoverable factorization (DESIGN.md "Recovery model"): the two layers —
+// step-granular checkpoint/restart and ABFT checksum verification with
+// re-execution — under deterministic fault injection. The contract
+// everywhere is bitwise: a crash-resumed run and an ABFT-recovered run both
+// produce EXACTLY the factors of the undisturbed run, and a run with any
+// recovery feature enabled but no fault injected is bitwise identical to
+// one with the feature off.
 //
-// The pool runs with 2 threads (pinned before its first use). The crash/
-// restart and ABFT legs run step-synchronously (the default path, and the
-// one every benchmark workload takes) and with lookahead, whose
-// step-boundary drains exercise the pipelined path. Task retry needs
-// retryable pool tasks, which only the pipelined path submits, so its legs
-// always use lookahead.
+// The pool runs with 2 threads (pinned before its first use).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,7 +19,6 @@
 #include "factor/conflux_lu.hpp"
 #include "recover/options.hpp"
 #include "recover/snapshot.hpp"
-#include "sched/taskpool.hpp"
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "tensor/random_matrix.hpp"
@@ -51,19 +45,10 @@ xsim::Machine fresh_machine() {
   return xsim::Machine(spec, xsim::ExecMode::Real);
 }
 
-FactorOptions options(int lookahead = 1) {
+FactorOptions options() {
   FactorOptions opt;
   opt.block_size = kV;
-  opt.lookahead = lookahead;
   return opt;
-}
-
-/// Suites whose legs run at lookahead 0 and 1 (the test parameter).
-class CrashRestart : public ::testing::TestWithParam<int> {};
-class Abft : public ::testing::TestWithParam<int> {};
-
-std::string lookahead_name(const ::testing::TestParamInfo<int>& info) {
-  return "lookahead" + std::to_string(info.param);
 }
 
 const grid::Grid3D& grid221() {
@@ -145,8 +130,8 @@ recover::SnapshotKey lu_key() {
 
 // ------------------------------------------------- crash/restart, LU -------
 
-TEST_P(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
-  const FactorOptions opt = options(GetParam());
+TEST(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
+  const FactorOptions opt = options();
   golden_lu();
   recover::Options ro;
   ro.ckpt_every = 1;  // a snapshot precedes every possible crash point
@@ -178,8 +163,8 @@ TEST_P(CrashRestart, LuCrashThenResumeIsBitwiseGolden) {
   EXPECT_GE(crashed, 12) << "crash site looks dead at rate 0.5";
 }
 
-TEST_P(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
-  const FactorOptions opt = options(GetParam());
+TEST(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
+  const FactorOptions opt = options();
   golden_chol();
   recover::Options ro;
   ro.ckpt_every = 1;
@@ -209,8 +194,8 @@ TEST_P(CrashRestart, CholCrashThenResumeIsBitwiseGolden) {
   EXPECT_GE(crashed, 12) << "crash site looks dead at rate 0.5";
 }
 
-TEST_P(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
-  const FactorOptions opt = options(GetParam());
+TEST(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
+  const FactorOptions opt = options();
   golden_lu();
   golden_chol();
   ScopedMetrics sm;
@@ -231,8 +216,8 @@ TEST_P(CrashRestart, CheckpointingAloneIsBitwiseInertAndCounted) {
   EXPECT_GT(counter("recover.ckpt.bytes") - bytes0, 0.0);
 }
 
-TEST_P(CrashRestart, FileMirrorSurvivesRegistryLoss) {
-  const FactorOptions opt = options(GetParam());
+TEST(CrashRestart, FileMirrorSurvivesRegistryLoss) {
+  const FactorOptions opt = options();
   golden_lu();
   char tmpl[] = "/tmp/conflux-ckpt-XXXXXX";
   char* dir = ::mkdtemp(tmpl);
@@ -266,8 +251,8 @@ TEST_P(CrashRestart, FileMirrorSurvivesRegistryLoss) {
 
 // ------------------------------------------------------- ABFT, bitflip -----
 
-TEST_P(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
-  const FactorOptions opt = options(GetParam());
+TEST(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
+  const FactorOptions opt = options();
   golden_lu();
   ScopedMetrics sm;
   recover::Options ro;
@@ -299,8 +284,8 @@ TEST_P(Abft, LuBitflipIsDetectedAndReexecutedToGolden) {
   EXPECT_EQ(counter("recover.abft.reexec") - rex0, fired_total);
 }
 
-TEST_P(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
-  const FactorOptions opt = options(GetParam());
+TEST(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
+  const FactorOptions opt = options();
   golden_chol();
   ScopedMetrics sm;
   recover::Options ro;
@@ -328,8 +313,8 @@ TEST_P(Abft, CholBitflipIsDetectedAndReexecutedToGolden) {
   EXPECT_EQ(counter("recover.abft.reexec") - rex0, fired_total);
 }
 
-TEST_P(Abft, VerificationIsBitwiseInert) {
-  const FactorOptions opt = options(GetParam());
+TEST(Abft, VerificationIsBitwiseInert) {
+  const FactorOptions opt = options();
   golden_lu();
   golden_chol();
   ScopedMetrics sm;
@@ -351,8 +336,8 @@ TEST_P(Abft, VerificationIsBitwiseInert) {
   EXPECT_EQ(counter("recover.abft.detected") - det0, 0.0);
 }
 
-TEST_P(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
-  const FactorOptions opt = options(GetParam());
+TEST(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
+  const FactorOptions opt = options();
   golden_lu();
   recover::Options ro;
   ro.abft = true;  // checkpointing OFF: rollback of last resort is the input
@@ -370,8 +355,8 @@ TEST_P(Abft, ReexecutionWithoutCheckpointRestartsFromInput) {
   }
 }
 
-TEST_P(Abft, CholReexecutionWithoutCheckpointRestartsFromInput) {
-  const FactorOptions opt = options(GetParam());
+TEST(Abft, CholReexecutionWithoutCheckpointRestartsFromInput) {
+  const FactorOptions opt = options();
   golden_chol();
   recover::Options ro;
   ro.abft = true;  // checkpointing OFF: rollback of last resort is the input
@@ -392,11 +377,11 @@ TEST_P(Abft, CholReexecutionWithoutCheckpointRestartsFromInput) {
   EXPECT_GT(counter("recover.abft.reexec") - rex0, 0.0) << "no restart was exercised";
 }
 
-TEST_P(Abft, PersistentCorruptionExhaustsTheReexecutionBudget) {
+TEST(Abft, PersistentCorruptionExhaustsTheReexecutionBudget) {
   // A flip at every verification is a broken machine, not a transient: the
   // run re-executes exactly its budget of 8 times, and the next detection
   // surfaces as kDataCorruption through the try_* entry points.
-  const FactorOptions opt = options(GetParam());
+  const FactorOptions opt = options();
   ScopedMetrics sm;
   recover::Options ro;
   ro.abft = true;
@@ -477,77 +462,6 @@ TEST(SnapshotIntegrity, TruncatedAndMissingSnapshotsFailWithTypedStatus) {
   r = factor::try_resume_conflux_lu(m3, grid221(), lu_input().view(), options());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCheckpointInvalid);
-}
-
-INSTANTIATE_TEST_SUITE_P(Both, CrashRestart, ::testing::Values(0, 1), lookahead_name);
-INSTANTIATE_TEST_SUITE_P(Both, Abft, ::testing::Values(0, 1), lookahead_name);
-
-// ------------------------------------------------------ transient retry ----
-
-TEST(TaskRetry, TransientFaultsAreAbsorbedBitwise) {
-  golden_lu();
-  golden_chol();
-  ScopedMetrics sm;
-  const double retries0 = counter("recover.task_retries");
-  const double exhausted0 = counter("recover.task_retry_exhausted");
-  double fired_total = 0.0;
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const fault::Config cfg =
-        site_config(fault::Site::kTransientTaskThrow, seed, 0.05);
-    SCOPED_TRACE(repro(cfg, fault::Site::kTransientTaskThrow));
-    const double f0 = counter("fault.fired.transient-task-throw");
-    fault::ScopedConfig scoped(cfg);
-    xsim::Machine mlu = fresh_machine();
-    expect_golden(
-        factor::conflux_lu(mlu, grid221(), lu_input().view(), options()),
-        "retry-absorbed LU run");
-    xsim::Machine mch = fresh_machine();
-    expect_golden(
-        factor::confchox(mch, grid221(), chol_input().view(), options()),
-        "retry-absorbed Cholesky run");
-    fired_total += counter("fault.fired.transient-task-throw") - f0;
-  }
-  EXPECT_GE(fired_total, 4.0) << "transient site looks dead at rate 0.05";
-  // Each fire is one retry (exhaustion at rate 0.05 with budget 3 would
-  // need four consecutive fires on one task: effectively impossible, and
-  // the exhausted counter proves it didn't happen).
-  EXPECT_EQ(counter("recover.task_retries") - retries0, fired_total);
-  EXPECT_EQ(counter("recover.task_retry_exhausted") - exhausted0, 0.0);
-  EXPECT_GE(sched::TaskPool::instance().stats().retries,
-            static_cast<long long>(fired_total));
-}
-
-TEST(TaskRetry, ExhaustedBudgetSurfacesTransientStatus) {
-  golden_lu();
-  recover::Options ro;
-  ro.task_retries = 0;  // no budget: the first transient failure surfaces
-  recover::ScopedOptions so(ro);
-  int classified = 0;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const fault::Config cfg =
-        site_config(fault::Site::kTransientTaskThrow, seed, 0.1);
-    SCOPED_TRACE(repro(cfg, fault::Site::kTransientTaskThrow));
-    fault::ScopedConfig scoped(cfg);
-    xsim::Machine m = fresh_machine();
-    const auto r =
-        factor::try_conflux_lu(m, grid221(), lu_input().view(), options());
-    if (r.ok()) {
-      expect_golden(r.value(), "clean run under an armed transient site");
-      continue;
-    }
-    ++classified;
-    EXPECT_EQ(r.status().code(), StatusCode::kTransientTaskFailure)
-        << r.status().to_string();
-    // The pool recovers: a fault-free rerun reproduces the golden factors.
-    fault::Config off;
-    fault::configure(off);
-    xsim::Machine m2 = fresh_machine();
-    const auto clean =
-        factor::try_conflux_lu(m2, grid221(), lu_input().view(), options());
-    ASSERT_TRUE(clean.ok()) << clean.status().to_string();
-    expect_golden(clean.value(), "recovery run after exhausted retry");
-  }
-  EXPECT_GE(classified, 3) << "zero-budget transient faults never surfaced";
 }
 
 }  // namespace

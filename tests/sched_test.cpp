@@ -15,11 +15,12 @@
 //  - the lookahead time model sits inside the bracket:
 //    elapsed >= modeled >= modeled_lookahead >= overlap on both
 //    factorizations, and lazy-phase deferral never lengthens the raw replay
-//  - the persistent TaskPool: dependency ordering, the single-thread inline
-//    fast path of parallel_for, a width-1 gemm staying off the pool while
-//    another thread's job is live, and — with two threads — the real
-//    pipelining of a lookahead run, asserted from recorded task slices and
-//    exported as valid Chrome-trace JSON
+//  - the persistent TaskPool: a throwing index surfaces classified at the
+//    call, unclaimed indices are skipped after a failure, the watchdog
+//    catches a stalled index, recording counts every index of a
+//    factorization, the single-thread inline fast path of parallel_for,
+//    and a width-1 gemm staying off the pool while another thread's job is
+//    live
 #include <gtest/gtest.h>
 
 #include <array>
@@ -29,7 +30,6 @@
 #include <map>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -43,6 +43,7 @@
 #include "sched/event.hpp"
 #include "sched/taskpool.hpp"
 #include "sched/timeline.hpp"
+#include "support/fault.hpp"
 #include "support/json.hpp"
 #include "tensor/random_matrix.hpp"
 
@@ -505,110 +506,149 @@ TEST(Replay, UrgentPhasePaysTheOutstandingBacklogFirst) {
 
 // ----------------------------------------------------- persistent pool ----
 
-TEST(TaskPool, DependenciesOrderExecution) {
+// ------------------------------------------------- failure semantics ----
+
+TEST(TaskPool, ThrowingIndexSurfacesAsTaskFailedAtTheCall) {
+  // An index that throws must surface at the parallel_for call as a
+  // classified status_error naming the call and its step — never
+  // terminate() on a worker, never vanish — at every width.
   TaskPool& pool = TaskPool::instance();
-  std::atomic<int> stage{0};
-  int first_seen = -1;
-  int second_seen = -1;
-  const TaskId a = pool.submit([&] { first_seen = stage.fetch_add(1); },
-                               "first", TaskCategory::Other, 0, nullptr, 0);
-  const TaskId b = pool.submit([&] { second_seen = stage.fetch_add(1); },
-                               "second", TaskCategory::Other, 0, &a, 1);
-  pool.wait(b);
-  EXPECT_EQ(first_seen, 0);
-  EXPECT_EQ(second_seen, 1);
-  // Completed or unknown dependency ids are ignored.
-  const TaskId c = pool.submit([&] { stage.fetch_add(1); }, "third",
-                               TaskCategory::Other, 0, &b, 1);
-  pool.wait(c);
-  EXPECT_EQ(stage.load(), 3);
+  for (const int width : {1, 2}) {
+    const xblas::ScopedThreadCap cap(width);
+    try {
+      pool.parallel_for(
+          4,
+          [](index_t i) {
+            if (i == 2) throw std::runtime_error("boom");
+          },
+          "thrower", 7);
+      FAIL() << "an index exception must surface at the call (width " << width << ")";
+    } catch (const status_error& e) {
+      EXPECT_EQ(e.code(), StatusCode::kTaskFailed);
+      EXPECT_EQ(e.status().step(), 7);
+      EXPECT_NE(e.status().message().find("thrower"), std::string::npos);
+      EXPECT_NE(e.status().message().find("boom"), std::string::npos);
+    }
+    // Consuming the error resets the pool: fresh work runs normally.
+    std::atomic<int> ran{0};
+    pool.parallel_for(8, [&](index_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 8);
+  }
 }
 
-// ------------------------------------------ failure semantics (ISSUE 6) ----
-
-TEST(TaskPool, TaskExceptionPropagatesToWait) {
-  // A task body that throws must surface on the master as a classified
-  // status_error at its next wait — never terminate() on a worker, never
-  // vanish.
+TEST(TaskPool, FailedIndexSkipsTheUnclaimedIndices) {
+  // After a failure the unclaimed indices are skipped: the call returns
+  // once the claimed ones finished, and their bodies never run. Index 0 is
+  // claimed first and fails at once while every other index takes a
+  // millisecond, so only a few can have been claimed meanwhile.
   TaskPool& pool = TaskPool::instance();
-  const TaskId t = pool.submit([] { throw std::runtime_error("boom"); },
-                               "thrower", TaskCategory::Other, 7, nullptr, 0);
-  try {
-    pool.wait(t);
-    FAIL() << "task exception must surface at wait";
-  } catch (const status_error& e) {
-    EXPECT_EQ(e.code(), StatusCode::kTaskFailed);
-    EXPECT_EQ(e.status().step(), 7);
-    EXPECT_NE(e.status().message().find("thrower"), std::string::npos);
-    EXPECT_NE(e.status().message().find("boom"), std::string::npos);
-  }
-  // Consuming the error resets the pool: fresh work runs normally.
+  const xblas::ScopedThreadCap two(2);
+  constexpr index_t kIndices = 200;
   std::atomic<int> ran{0};
-  const TaskId u =
-      pool.submit([&] { ran = 1; }, "after", TaskCategory::Other, 0, nullptr, 0);
-  pool.wait(u);
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(TaskPool, FailedTaskCancelsDependents) {
-  // Cooperative cancellation: after a failure the rest of the graph drains
-  // without running bodies — dependents "finish" (no deadlock) but their
-  // side effects never happen.
-  TaskPool& pool = TaskPool::instance();
-  std::atomic<bool> dependent_ran{false};
-  const TaskId bad =
-      pool.submit([] { throw std::runtime_error("first failure"); }, "bad",
-                  TaskCategory::Other, 1, nullptr, 0);
-  const TaskId dep = pool.submit([&] { dependent_ran = true; }, "dep",
-                                 TaskCategory::Other, 2, &bad, 1);
   try {
-    pool.wait(dep);
-    FAIL() << "waiting on a cancelled dependent must rethrow the root cause";
+    pool.parallel_for(
+        kIndices,
+        [&](index_t i) {
+          if (i == 0) throw std::runtime_error("first failure");
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          ran.fetch_add(1);
+        },
+        "bad", 1);
+    FAIL() << "the failure must rethrow at the call";
   } catch (const status_error& e) {
     EXPECT_EQ(e.code(), StatusCode::kTaskFailed);
-    EXPECT_EQ(e.status().step(), 1);  // the ROOT failure, not the cascade
+    EXPECT_EQ(e.status().step(), 1);
   }
-  EXPECT_FALSE(dependent_ran.load());
+  EXPECT_LT(ran.load(), kIndices / 2);
   std::atomic<bool> ok{false};
-  const TaskId next = pool.submit([&] { ok = true; }, "recover",
-                                  TaskCategory::Other, 0, nullptr, 0);
-  pool.wait(next);
+  pool.parallel_for(2, [&](index_t) { ok = true; });
   EXPECT_TRUE(ok.load());
 }
 
-TEST(TaskPool, WatchdogDetectsWedgedPool) {
-  // A worker stuck in a task (here: spinning until released) must not hang
-  // the blocked master forever: after a full watchdog interval with zero
-  // retirements the wait fails fast with kPoolWedged and a task-id dump.
-  // The task is Lazy so the helping master cannot pick it up itself and
-  // block in its body.
+TEST(TaskPool, WatchdogDetectsAStalledIndex) {
+  // A worker stalled in an index must not hang the blocked master forever:
+  // after a full watchdog interval with no finished index the call fails
+  // fast with kPoolWedged and a state dump, the cancellation ends the
+  // (cooperative) stall, and the pool accepts work again. The stall is the
+  // worker-stall fault site, which only workers draw; the master's index
+  // waits until a worker has drawn it, so the master ends up watching.
   TaskPool& pool = TaskPool::instance();
   const xblas::ScopedThreadCap two(2);
   pool.set_watchdog_seconds(0.2);
-  std::atomic<bool> release{false};
-  const TaskId wedged = pool.submit(
-      [&] {
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-      },
-      "wedged-task", TaskCategory::Lazy, 3, nullptr, 0);
-  try {
-    pool.wait(wedged);
-    FAIL() << "a wedged pool must fail fast, not block";
-  } catch (const status_error& e) {
-    EXPECT_EQ(e.code(), StatusCode::kPoolWedged);
-    EXPECT_NE(e.status().message().find("wedged-task"), std::string::npos);
+  fault::Config cfg;
+  cfg.rate = 1.0;
+  cfg.site_mask = 1u << static_cast<int>(fault::Site::kWorkerStall);
+  cfg.stall_s = 60.0;
+  std::atomic<int> bodies{0};
+  {
+    const fault::ScopedConfig faults(cfg);
+    const auto master = std::this_thread::get_id();
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      pool.parallel_for(
+          2,
+          [&](index_t) {
+            if (std::this_thread::get_id() == master) {
+              while (fault::injected_count() == 0) std::this_thread::yield();
+            }
+            bodies.fetch_add(1);
+          },
+          "stalled-job", 3);
+      FAIL() << "a wedged call must fail fast, not block";
+    } catch (const status_error& e) {
+      EXPECT_EQ(e.code(), StatusCode::kPoolWedged);
+      EXPECT_NE(e.status().message().find("stalled-job"), std::string::npos);
+    }
+    EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count(),
+              30.0)
+        << "the cancellation must end the stall";
   }
-  // Resolve the wedge; the pool must drain and accept work again.
-  release = true;
-  pool.wait_all();
-  std::atomic<bool> ok{false};
-  const TaskId next = pool.submit([&] { ok = true; }, "after-wedge",
-                                  TaskCategory::Other, 0, nullptr, 0);
-  pool.wait(next);
-  EXPECT_TRUE(ok.load());
+  EXPECT_EQ(bodies.load(), 1) << "the stalled index's body must be skipped";
   pool.set_watchdog_seconds(0.0);  // back to the env/default interval
+  std::atomic<int> ran{0};
+  pool.parallel_for(16, [&](index_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(TaskPool, RecordingCountsEveryIndexOfTheDefaultPath) {
+  // While recording, each executed index is one slice and one tasks_run /
+  // busy-time entry; outside a recording nothing is counted.
+  const index_t n = 256;
+  const grid::Grid3D g(2, 2, 1);
+  const MatrixD a = random_matrix(n, n, 101);
+  const factor::FactorOptions opt{.block_size = 32};
+  TaskPool& pool = TaskPool::instance();
+  const xblas::ScopedThreadCap two(2);
+  pool.reset_stats();
+  pool.start_recording();
+  {
+    xsim::Machine m(paper_spec(g.ranks(), grid_memory(n, g)), xsim::ExecMode::Real);
+    factor::conflux_lu(m, g, a.view(), opt);
+  }
+  const std::vector<TaskSlice> slices = pool.stop_recording();
+  const TaskPoolStats st = pool.stats();
+  ASSERT_FALSE(slices.empty());
+  EXPECT_EQ(st.tasks_run, static_cast<long long>(slices.size()));
+  EXPECT_GT(st.other_busy_s, 0.0);
+  EXPECT_EQ(st.urgent_busy_s, 0.0);
+  EXPECT_EQ(st.lazy_busy_s, 0.0);
+  double per_worker = 0.0;
+  for (const double b : st.worker_busy_s) per_worker += b;
+  EXPECT_NEAR(per_worker, st.other_busy_s, 1e-9);
+  bool saw_urgent = false;
+  bool saw_lazy = false;
+  for (const TaskSlice& s : slices) {
+    EXPECT_LE(s.start_s, s.end_s);
+    saw_urgent = saw_urgent || (s.name == "schur-urgent" && s.step >= 0);
+    saw_lazy = saw_lazy || (s.name == "schur-lazy" && s.step >= 0);
+  }
+  EXPECT_TRUE(saw_urgent);
+  EXPECT_TRUE(saw_lazy);
+
+  // Not recording: nothing counted.
+  pool.reset_stats();
+  pool.parallel_for(8, [](index_t) {});
+  EXPECT_EQ(pool.stats().tasks_run, 0);
 }
 
 TEST(TaskPool, SingleChunkAndSingleThreadParallelForRunInline) {
@@ -686,70 +726,6 @@ TEST(TaskPool, WidthOneGemmStaysOffALiveFailingJob) {
   EXPECT_FALSE(threw) << "a width-1 caller must never see another's error";
   EXPECT_EQ(ran_on, self);
   EXPECT_EQ(got, want);
-}
-
-// With two threads, a lookahead run must actually pipeline: some step t+1
-// panel task (the A10 solve feeding the next Schur update) begins on the
-// wall clock before step t's lazy remainder has finished, and the recorded
-// pool slices export as valid Chrome-trace JSON.
-TEST(TaskPool, LookaheadRunOverlapsAcrossStepsInTheRecordedTrace) {
-  const index_t n = 512;
-  const grid::Grid3D g(2, 2, 1);
-  const MatrixD a = random_matrix(n, n, 101);
-  factor::FactorOptions opt;
-  opt.block_size = 32;
-  opt.lookahead = 1;
-  const index_t steps = n / opt.block_size;
-
-  TaskPool& pool = TaskPool::instance();
-  const xblas::ScopedThreadCap two(2);
-  // The overlap is a wall-clock property: with both threads time-sliced
-  // onto few (or one) physical cores, an unlucky OS schedule can serialize
-  // a whole run. Any successful attempt proves the pipeline; retry a few
-  // times before declaring failure.
-  bool overlapped = false;
-  std::vector<TaskSlice> slices;
-  for (int attempt = 0; attempt < 8 && !overlapped; ++attempt) {
-    pool.start_recording();
-    xsim::Machine m(paper_spec(g.ranks(), grid_memory(n, g)), xsim::ExecMode::Real);
-    const factor::LuResult lu = factor::conflux_lu(m, g, a.view(), opt);
-    slices = pool.stop_recording();
-    ASSERT_EQ(static_cast<index_t>(lu.perm.size()), n);
-    ASSERT_FALSE(slices.empty());
-
-    // Per step: when did the lazy remainder end, and when did the next
-    // step's panel work begin?
-    std::vector<double> lazy_end(static_cast<std::size_t>(steps), -1.0);
-    std::vector<double> panel_start(static_cast<std::size_t>(steps), 1e300);
-    bool saw_urgent = false;
-    for (const TaskSlice& s : slices) {
-      if (s.step < 0 || s.step >= steps) continue;
-      const auto i = static_cast<std::size_t>(s.step);
-      if (s.category == TaskCategory::Lazy) {
-        lazy_end[i] = std::max(lazy_end[i], s.end_s);
-      } else if (s.name == std::string_view("panel-trsm-a10")) {
-        panel_start[i] = std::min(panel_start[i], s.start_s);
-      }
-      saw_urgent = saw_urgent || s.category == TaskCategory::Urgent;
-    }
-    EXPECT_TRUE(saw_urgent);
-    for (index_t t = 0; t + 1 < steps; ++t) {
-      const auto i = static_cast<std::size_t>(t);
-      if (lazy_end[i] < 0.0) continue;
-      overlapped = overlapped || panel_start[i + 1] < lazy_end[i];
-    }
-  }
-  EXPECT_TRUE(overlapped)
-      << "no step t+1 panel task began before step t's lazy gemm ended";
-
-  std::ostringstream os;
-  const std::size_t written = write_task_trace(os, slices);
-  const std::string json = os.str();
-  EXPECT_GT(written, 0u);
-  EXPECT_NE(json.find("schur-lazy"), std::string::npos);
-  EXPECT_NE(json.find("schur-urgent"), std::string::npos);
-  EXPECT_NE(json.find("panel-trsm-a10"), std::string::npos);
-  EXPECT_TRUE(json::parse(json).has_value()) << json.substr(0, 400);
 }
 
 // ---------------------------------------------------- pool determinism ----
