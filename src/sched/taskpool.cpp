@@ -124,6 +124,14 @@ int TaskPool::width() const {
 
 bool TaskPool::in_pool_work() { return tls_in_pool_work; }
 
+bool TaskPool::instrumented() const {
+  return recording_.load(std::memory_order_relaxed) || fault::enabled();
+}
+
+void TaskPool::rethrow_classified(const char* name, long long step) {
+  std::rethrow_exception(classify_current_exception(name, step));
+}
+
 void TaskPool::set_watchdog_seconds(double seconds) {
   std::unique_lock<std::mutex> lock(mutex_);
   watchdog_override_ = seconds;
@@ -158,6 +166,10 @@ bool TaskPool::stall_cooperatively(double seconds) {
 }
 
 void TaskPool::run_index(const ParallelJob& job, index_t i, int worker_index) {
+  if (!job.instrumented) {
+    job.run(job.ctx, i);
+    return;
+  }
   if (fault::enabled()) {
     // Only a worker stalls: the master is the one watching the call.
     if (worker_index > 0 && fault::should_inject(fault::Site::kWorkerStall) &&
@@ -261,6 +273,7 @@ bool TaskPool::blocked_wait(std::unique_lock<std::mutex>& lock,
 }
 
 void TaskPool::run_job(ParallelJob& job) {
+  job.instrumented = instrumented();
   const int w = job.total > 1 ? width() : 1;
   std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
   if (w > 1) lock.lock();
@@ -272,7 +285,7 @@ void TaskPool::run_job(ParallelJob& job) {
     try {
       for (index_t i = 0; i < job.total; ++i) run_index(job, i, 0);
     } catch (...) {
-      std::rethrow_exception(classify_current_exception(job.name, job.step));
+      rethrow_classified(job.name, job.step);
     }
     return;
   }

@@ -126,6 +126,15 @@ class TaskPool {
       for (index_t i = 0; i < n; ++i) body(i);
       return;
     }
+    if ((n == 1 || width() <= 1) && !instrumented()) {
+      // Nothing to share, record or inject: a plain loop on the caller.
+      try {
+        for (index_t i = 0; i < n; ++i) body(i);
+      } catch (...) {
+        rethrow_classified(name, step);
+      }
+      return;
+    }
     ParallelJob job;
     using B = std::remove_reference_t<Body>;
     job.run = [](void* ctx, index_t i) { (*static_cast<B*>(ctx))(i); };
@@ -195,6 +204,7 @@ class TaskPool {
     index_t total = 0;
     const char* name = "";
     long long step = -1;
+    bool instrumented = false;  // recording or fault injection armed
     int width = 1;        // workers 1..width-1 join the master
     index_t next = 0;     // next unclaimed index (guarded by mutex_)
     index_t done = 0;     // completed indices (guarded by mutex_)
@@ -203,6 +213,11 @@ class TaskPool {
 
   /// True on a pool worker, and on the master while it runs an index.
   static bool in_pool_work();
+  /// Recording or fault injection is armed: indices go through run_index.
+  bool instrumented() const;
+  /// Rethrow the in-flight exception (call inside a catch block) as a
+  /// classified status_error naming the call.
+  [[noreturn]] static void rethrow_classified(const char* name, long long step);
   void run_job(ParallelJob& job);
   /// Run one index through the fault sites, the body and the recorder;
   /// throws whatever the body (or an injected fault) throws.
