@@ -11,20 +11,12 @@
 // Usage:
 //   micro_blas_kernels [--out=BENCH_blas.json] [--threads=1] [--large]
 //                      [--sweep] [--min-time=0.3]
-//                      [--autotune] [--budget=60] [--require-tuning-source=SRC]
 //   --threads   team width for every kernel (default 1; 0 = the pool's
 //               default: CONFLUX_POOL_THREADS, else the CPUs available)
 //   --large     adds n = 2048 shapes
-//   --sweep     additionally sweeps the (mc, kc, nc) cache-block tuning for
-//               gemm at the largest shape and reports the best combination
-//   --autotune  run the install-time autotuner (src/blas/autotune.hpp) for
-//               the active ISA and persist the winners to the tuning file
-//               (XBLAS_TUNING_FILE or ~/.cache/conflux/tuning.json), then
-//               exit. --budget caps its wall-clock seconds.
-//   --require-tuning-source=default|file|env
-//               exit nonzero unless this process's Tuning::detect() resolved
-//               from the given layer — CI uses it to prove a persisted
-//               tuning file round-trips into a fresh process.
+//   --sweep     additionally times fp64 gemm at the largest shape over a
+//               40-point (mc, kc, nc) cache-block grid, one JSON row per
+//               point, and reports the best combination
 //
 // Every row records the measured ISA, the tuning source, and git describe;
 // per-ISA gemm rows (`gemm_isa_*`) cover each kernel the host can run, and
@@ -38,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "blas/autotune.hpp"
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
@@ -213,59 +204,15 @@ int main(int argc, char** argv) {
   const double min_time = cli.get_double("min-time", 0.3);
   const bool large = cli.get_flag("large");
   const bool sweep = cli.get_flag("sweep");
-  const bool autotune = cli.get_flag("autotune");
-  const double budget = cli.get_double("budget", 60.0);
-  const std::string require_source = cli.get_string("require-tuning-source", "");
   cli.check_unused();
 
   std::printf("isa: %s (dispatched)  tuning_source: %s  build: %s\n",
               xblas::isa_name(xblas::active_isa()), xblas::tuning_source(),
               conflux::git_describe());
 
-  // CI round-trip check: a fresh process must have resolved its tuning from
-  // the layer the caller expects (e.g. "file" right after --autotune wrote
-  // one). Checked before anything below mutates tuning().
-  if (!require_source.empty() && require_source != xblas::tuning_source()) {
-    std::fprintf(stderr,
-                 "error: tuning source is '%s', required '%s' (tuning file: %s)\n",
-                 xblas::tuning_source(), require_source.c_str(),
-                 xblas::autotune::default_tuning_path().c_str());
-    return 1;
-  }
-
   const xblas::ScopedThreadCap width(threads);
   g_threads = conflux::sched::TaskPool::instance().width();
 
-  if (autotune) {
-    xblas::autotune::Options opts;
-    opts.budget_seconds = budget;
-    std::printf("autotuning isa=%s (budget %.1fs)...\n",
-                xblas::isa_name(xblas::active_isa()), budget);
-    const xblas::autotune::Report rep = xblas::autotune::run(opts);
-    for (const xblas::autotune::Entry& e : rep.tuned) {
-      std::printf("  best %-4s mc=%-4lld kc=%-4lld nc=%-5lld db=%-4lld "
-                  "lu_nb=%-4lld %8.2f GF/s\n",
-                  e.type.c_str(), static_cast<long long>(e.mc),
-                  static_cast<long long>(e.kc), static_cast<long long>(e.nc),
-                  static_cast<long long>(e.db), static_cast<long long>(e.lu_nb),
-                  e.gflops);
-    }
-    std::printf("autotune timed %d candidates, skipped %d, in %.1fs\n",
-                rep.candidates_timed, rep.candidates_skipped, rep.seconds);
-    const std::string path = xblas::autotune::default_tuning_path();
-    if (path.empty()) {
-      std::printf("tuning persistence disabled (XBLAS_TUNING_FILE empty and "
-                  "no cache dir)\n");
-      return rep.tuned.empty() ? 1 : 0;
-    }
-    if (!xblas::autotune::save_report(path, rep)) {
-      std::fprintf(stderr, "error: could not write %s\n", path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu entries tuned)\n", path.c_str(),
-                rep.tuned.size());
-    return 0;
-  }
   std::vector<index_t> shapes = {256, 512, 1024};
   if (large) shapes.push_back(2048);
   const index_t nmax = shapes.back();
@@ -443,24 +390,33 @@ int main(int argc, char** argv) {
   if (sweep) {
     std::printf("\nCache-block sweep (gemm, n=%lld):\n",
                 static_cast<long long>(nmax));
-    // The sweep machinery lives in src/blas/autotune.cpp (shared with
-    // --autotune); the callback lands every timed point in the JSON rows.
-    const xblas::autotune::SweepBest best = xblas::autotune::sweep_gemm<double>(
-        nmax, {64, 96, 128, 192, 256}, {128, 256, 384, 512}, {2048, 4096},
-        std::min(min_time, 0.15),
-        [&](index_t mc, index_t kc, index_t nc, double gf) {
-          std::printf("  mc=%-4lld kc=%-4lld nc=%-5lld %8.2f GF/s\n",
-                      static_cast<long long>(mc), static_cast<long long>(kc),
-                      static_cast<long long>(nc), gf);
-          Result r{"gemm_sweep_mc" + std::to_string(mc) + "_kc" +
-                       std::to_string(kc) + "_nc" + std::to_string(nc),
-                   nmax, gf, 0.0, 0};
-          r.seconds = xblas::gemm_flops(nmax, nmax, nmax) / gf * 1e-9;
-          results.push_back(r);
-        });
-    std::printf("  best: mc=%lld kc=%lld nc=%lld at %.2f GF/s\n",
-                static_cast<long long>(best.mc), static_cast<long long>(best.kc),
-                static_cast<long long>(best.nc), best.gflops);
+    const MatrixD a = conflux::random_matrix(nmax, nmax, 1);
+    const MatrixD b = conflux::random_matrix(nmax, nmax, 2);
+    MatrixD c(nmax, nmax, 0.0);
+    const double fl = xblas::gemm_flops(nmax, nmax, nmax);
+    const xblas::Tuning saved = xblas::tuning();
+    Result best{"", nmax, 0.0, 0.0, 0};
+    for (const index_t mc : {64, 96, 128, 192, 256}) {
+      for (const index_t kc : {128, 256, 384, 512}) {
+        for (const index_t nc : {2048, 4096}) {
+          xblas::tuning().mc = mc;
+          xblas::tuning().kc = kc;
+          xblas::tuning().nc = nc;
+          results.push_back(time_kernel(
+              "gemm_sweep_mc" + std::to_string(mc) + "_kc" +
+                  std::to_string(kc) + "_nc" + std::to_string(nc),
+              nmax, fl, timed_run([&] {
+                xblas::gemm(xblas::Trans::None, xblas::Trans::None, 1.0,
+                            a.view(), b.view(), 0.0, c.view());
+              }),
+              std::min(min_time, 0.15)));
+          print_result(results.back());
+          if (results.back().gflops > best.gflops) best = results.back();
+        }
+      }
+    }
+    xblas::tuning() = saved;
+    std::printf("  best: %s at %.2f GF/s\n", best.kernel.c_str(), best.gflops);
   }
 
   const double seed_gf = find_gflops(results, "gemm_seed", nmax);

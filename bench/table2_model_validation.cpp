@@ -53,7 +53,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\nPaper claim checked: exact schedule models match measurements\n"
                "(sub-percent); the 2D closed forms land within a few percent; the\n"
-               "COnfLUX leading term under-counts by the O(M) replication terms,\n"
-               "which shrink as P grows at fixed N.\n";
+               "COnfLUX leading term under-counts the exact model, and the\n"
+               "under-count does not shrink as P grows at fixed N: it widens\n"
+               "from P=256 to P=1024 above. Which terms make up the excess is\n"
+               "open (ROADMAP.md: account for every modeled word against Lemma 10).\n";
   return 0;
 }

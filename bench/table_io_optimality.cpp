@@ -90,8 +90,10 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nPaper claims: leading-term ratio 1.5x for LU (Lemma 10) and ~3x\n"
-               "for Cholesky (Section 7.5); modeled ratios sit above these by the\n"
-               "O(M) replication terms, shrinking with P at fixed N.\n";
+               "for Cholesky (Section 7.5). The modeled ratios sit above these and\n"
+               "grow with P at fixed N (P=256 -> 1024 above), so the excess is not\n"
+               "an O(M) term that shrinks with P. Which terms make it up is open\n"
+               "(ROADMAP.md: account for every modeled word against Lemma 10).\n";
 
   // Measured section: Real execution at a host-feasible size, metrics on.
   conflux::TextTable mtable(

@@ -203,20 +203,11 @@ void gemm(Trans transa, Trans transb, std::type_identity_t<T> alpha,
     return;
   }
 
-  // fp32 takes its own tuned block sizes when the autotuner provided them,
-  // else derives from the fp64 ones (same mc/nc, kc scaled to keep the
-  // packed panels' byte footprint).
-  index_t tu_mc = tu.mc;
-  index_t tu_kc = tu.kc * kc_scale<T>();
-  index_t tu_nc = tu.nc;
-  if constexpr (std::is_same_v<T, float>) {
-    if (tu.mc_f32 > 0) tu_mc = tu.mc_f32;
-    if (tu.kc_f32 > 0) tu_kc = tu.kc_f32;
-    if (tu.nc_f32 > 0) tu_nc = tu.nc_f32;
-  }
-  const index_t mc_blk = round_up(std::min(tu_mc, m), MR);
-  const index_t kc_blk = std::min(tu_kc, k);
-  const index_t nc_blk = round_up(std::min(tu_nc, n), NR);
+  // fp32 derives its blocks from the fp64 ones: same mc/nc, kc scaled to
+  // keep the packed panels' byte footprint.
+  const index_t mc_blk = round_up(std::min(tu.mc, m), MR);
+  const index_t kc_blk = std::min(tu.kc * kc_scale<T>(), k);
+  const index_t nc_blk = round_up(std::min(tu.nc, n), NR);
   const index_t ni_blocks = ceil_div(m, mc_blk);
 
   // Small-k fast path: stream op(B) rows through the strided microkernel

@@ -30,7 +30,7 @@ namespace conflux::xblas {
 enum class Isa : int { Portable = 0, Avx2 = 1, Avx512 = 2, Neon = 3 };
 inline constexpr int kIsaCount = 4;
 
-/// Lower-case name used by XBLAS_ISA, bench rows, and the tuning file.
+/// Lower-case name used by XBLAS_ISA and bench rows.
 const char* isa_name(Isa isa);
 
 /// Parse an XBLAS_ISA-style name; returns false (and leaves *out alone) on

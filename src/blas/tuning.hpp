@@ -13,18 +13,15 @@
 //   XBLAS_MC, XBLAS_KC, XBLAS_NC   gemm cache block sizes
 //   XBLAS_DB                       trsm/syrk/gemmt diagonal block size
 //   XBLAS_LU_NB                    getrf/potrf panel width
+//   XBLAS_SMALL_K                  small-k fast-path cutoff (0 disables)
 //
 // Thread count is not a tuning field: gemm runs its parallel loops on the
 // task pool, whose width ScopedThreadCap (below) or CONFLUX_POOL_THREADS
 // sets (src/sched/taskpool.hpp).
 //
-// Initialization precedence (Tuning::detect(), run once at first BLAS use):
-//   1. compiled-in defaults (below), then
-//   2. the persisted autotuner file (src/blas/autotune.hpp) — the entry for
-//      the active microkernel ISA, path from XBLAS_TUNING_FILE or
-//      ~/.cache/conflux/tuning.json — then
-//   3. XBLAS_* environment overrides, which always win.
-// tuning_source() reports which layer had the last word.
+// Tuning::detect() runs once at first BLAS use: compiled-in defaults
+// (below), then XBLAS_* environment overrides. tuning_source() reports
+// whether any override was honoured.
 #pragma once
 
 #include "tensor/matrix.hpp"
@@ -86,20 +83,11 @@ struct Tuning {
   /// Schur updates run at k = v, typically 8..64). 0 disables the path.
   index_t small_k = 64;
 
-  /// fp32 gemm cache blocks, filled by the persisted autotuner's "f32"
-  /// entry. 0 = derive from the fp64 values (same mc/nc, kc scaled by
-  /// kc_scale<float>() so the packed panels keep their byte footprint).
-  /// kc_f32 is the EFFECTIVE fp32 kc — no kc_scale is applied on top.
-  index_t mc_f32 = 0;
-  index_t kc_f32 = 0;
-  index_t nc_f32 = 0;
-
   /// Clamp every field to a sane value (>= 1 sizes).
   void sanitize();
 
-  /// Full initialization chain: defaults -> persisted autotuner entry for
-  /// the active ISA -> XBLAS_* environment overrides. Updates the
-  /// tuning_source() record as a side effect.
+  /// Compiled-in defaults with XBLAS_* environment overrides applied. Updates
+  /// the tuning_source() record as a side effect.
   static Tuning detect();
 };
 
@@ -107,14 +95,9 @@ struct Tuning {
 /// so sweeps can adjust it between (not during) BLAS calls.
 Tuning& tuning();
 
-/// Read XBLAS_* environment overrides on top of the defaults (no tuning
-/// file involved — sweeps and benches use this for a clean baseline).
-Tuning tuning_from_env();
-
-/// Where the last Tuning::detect() got its block sizes: "default" (compiled
-/// in), "file" (persisted autotuner entry applied), or "env" (at least one
-/// XBLAS_* override applied — env always wins over the file). Recorded in
-/// every BENCH_*.json row so perf numbers stay attributable.
+/// Where the last Tuning::detect() got its settings: "default" (compiled in)
+/// or "env" (at least one XBLAS_* override honoured). Recorded in every
+/// BENCH_*.json row so perf numbers stay attributable.
 const char* tuning_source();
 
 /// Per-thread team-width override (0 = none): the one in-process width

@@ -24,8 +24,9 @@
 //   w.end_array();
 //   w.end_object();
 //
-// The reader side is json::parse, the one strict parser in the tree (the
-// autotuner's tuning file and the trace-export tests use it).
+// The reader side is json::parse, the one strict parser in the tree
+// (factor_schedule's committed-baseline reader and the trace-export tests
+// use it).
 #pragma once
 
 #include <cstdint>

